@@ -370,7 +370,7 @@ class CompletionCalendar:
             if walk0 is None:
                 walk0 = r_resolve(vpn)
                 if walk0 is None:
-                    return 0  # faulting lead: the general loop raises it
+                    return 0  # faulting lead: the general loop takes the fault
         levels = walk0.levels
         dur_f = levels * self._walk_latency
         if not float(dur_f).is_integer():
@@ -517,7 +517,7 @@ class CompletionCalendar:
             if nwalk is None:
                 nwalk = r_resolve(nvpn)
                 if nwalk is None:
-                    break  # faulting page: stop short, let the lead raise
+                    break  # faulting page: stop short, let the lead fault
             if nwalk.levels != levels:
                 break  # latency class changes: FIFO order not closed form
             while meta[rc][0] <= nxt:
@@ -945,7 +945,7 @@ class CompletionCalendar:
                 if walk0 is None:
                     walk0 = resolver.resolve_vpn(vpn)
                     if walk0 is None:
-                        return 0  # faulting lead: the general loop raises
+                        return 0  # faulting lead: the general loop takes it
             dur_f = float(walk0.levels * walk_lat)
             cap_total = _STRETCH_CAP if n - i > _STRETCH_CAP else n - i
             turns = float(-(-cap_total // W) + 1)

@@ -123,6 +123,33 @@ def _run_bounds(
     return j, streamable, rc
 
 
+def _fault_in_place(
+    mmu: MMU,
+    fault_handler: FaultHandler,
+    vpn: int,
+    cycle: float,
+    asid: int,
+    walkers_registered: bool,
+) -> float:
+    """:meth:`MMU.translate`'s fault branch for the fused PRMB-less loops.
+
+    Counts the faulting attempt exactly as ``translate`` does — a TLB
+    miss, a PTS probe (a hit when walks for the page are registered), a
+    fault, and a request that nets to zero — then runs the demand-paging
+    handler and returns its retry cycle.  Shared by both loops so their
+    fault accounting stays operation-identical.
+    """
+    tlb = mmu.tlb
+    pts = mmu.pts
+    assert isinstance(tlb, TLB) and pts is not None
+    tlb.misses += 1
+    pts.lookups += 1
+    if walkers_registered:
+        pts.hits += 1
+    mmu.stats.faults += 1
+    return fault_handler(vpn, cycle, asid)
+
+
 @dataclass
 class BurstResult:
     """Timing of one tile-fetch burst."""
@@ -676,9 +703,10 @@ class TranslationEngine:
                 if handled:
                     continue
                 # The whole-burst runner may have crossed page boundaries
-                # before faulting or blocking, so transaction ``i`` is not
-                # necessarily the one this iteration derived its locals
-                # from: re-derive them before the reference-step replay.
+                # before blocking (or faulting with no handler), so
+                # transaction ``i`` is not necessarily the one this
+                # iteration derived its locals from: re-derive them before
+                # the reference-step replay.
                 va = va_list[i]
                 size = size_list[i]
                 vpn = va >> vpn_shift
@@ -1156,11 +1184,14 @@ class TranslationEngine:
         the run.  Integer counters accumulate in locals and flush once
         on exit (integer addition is exact and order-independent); float
         accumulators keep the reference's per-transaction addition
-        order, to which floating-point rounding is sensitive.  Returns
+        order, to which floating-point rounding is sensitive.  A page
+        fault calls the engine's ``fault_handler`` in place, with
+        :meth:`MMU.translate`'s fault-branch counters, and the loop
+        carries on at the handler's retry point.  Returns
         ``(i, cycle, data_end, total_bytes, stall, faulted)``; the
         caller re-dispatches (the run typically flipped to TLB hits) or,
-        on ``faulted``, replays the transaction through the reference
-        step so faults keep their general handling.
+        on ``faulted`` (a fault with no handler installed), replays the
+        transaction through the reference step, which raises it.
         """
         mmu = self.mmu
         pool = mmu.pool
@@ -1200,6 +1231,7 @@ class TranslationEngine:
         busy_by_asid = pool._busy_by_asid
         tlb_insert = tlb.insert
         resolver = mmu._resolvers[asid]
+        fault_handler = self.fault_handler
         walk = None
         faulted = False
         inf = float("inf")
@@ -1283,8 +1315,20 @@ class TranslationEngine:
                 if walk is None:
                     walk = resolver.resolve_vpn(vpn)
                     if walk is None:
-                        faulted = True
-                        break  # the reference step raises / handles it
+                        if fault_handler is None:
+                            faulted = True
+                            break  # the reference step raises it
+                        resolved = _fault_in_place(
+                            mmu, fault_handler, vpn, cycle, asid,
+                            bool(my_walkers),
+                        )
+                        stall += resolved - cycle
+                        cycle = resolved
+                        # The handler's shootdowns may have changed this
+                        # page's scoreboard entry; the loop top retires
+                        # what completed by ``resolved``.
+                        my_walkers = pts_by_vpn.get(tkey)
+                        continue
                 if my_walkers is None:
                     fresh_walk_n += 1  # PTS missed: a non-redundant walk
                     my_walkers = pts_by_vpn.setdefault(tkey, [])
@@ -1418,6 +1462,13 @@ class TranslationEngine:
         and float accumulation order are the general loop's, operation
         for operation; ``heap[:]`` is restored from the live suffix on
         every exit.
+
+        A page fault in the miss phase calls the ``fault_handler`` the
+        caller passes (the engine's, which may be installed after the
+        runner is built) and carries on at its retry point, so a
+        demand-paged burst never leaves the runner to fault.  The
+        closure holds no reference to the engine itself: the runner
+        cache would otherwise make every engine a reference cycle.
         """
         runner = self._np_runners.get(asid)
         if runner is not None:
@@ -1505,6 +1556,7 @@ class TranslationEngine:
             meta: Optional[Sequence[Tuple[int, bool]]],
             rc: int,
             run_streamable: bool,
+            fault_handler: Optional[FaultHandler],
             vas_col: Any = None,
             sizes_col: Any = None,
             uniform_size: Optional[int] = None,
@@ -1919,8 +1971,24 @@ class TranslationEngine:
                                 # full resolve decides which.
                                 walk = r_resolve(vpn)
                                 if walk is None:
-                                    faulted = True
-                                    break  # the reference step raises it
+                                    if fault_handler is None:
+                                        faulted = True
+                                        break  # the reference step raises it
+                                    resolved = _fault_in_place(
+                                        mmu, fault_handler, vpn, cycle,
+                                        asid, bool(my_walkers),
+                                    )
+                                    stall += resolved - cycle
+                                    cycle = resolved
+                                    # The handler's shootdowns may have
+                                    # dropped TLB entries and poisoned
+                                    # walks: the same-walk insert memo
+                                    # and this page's scoreboard view
+                                    # are stale.  The loop top retires
+                                    # what completed by ``resolved``.
+                                    prev_walk = None
+                                    my_walkers = pts_by_vpn.get(tkey)
+                                    continue
                             levels = walk.levels
                             dur = levels * walk_latency
                         ready = cycle + dur
@@ -2306,9 +2374,10 @@ class TranslationEngine:
         data_end, total_bytes, stall, rc, run_vpn, run_end,
         run_streamable, handled)``; ``handled`` is False when the caller
         must replay transaction ``i`` through its fully general
-        reference step (a fault to raise/handle, or no progress was
-        possible — e.g. a policy event horizon — so the reference step
-        re-evaluates everything).
+        reference step: a fault with no handler installed (the reference
+        step raises it; with a handler, both fused loops take faults in
+        place), or no progress was possible (e.g. a policy event
+        horizon), so the reference step re-evaluates everything.
         """
         if run_vpn != vpn or i >= run_end:
             j, run_streamable, rc = _run_bounds(
@@ -2340,7 +2409,7 @@ class TranslationEngine:
             ) = runner(
                 va_list, size_list, i, j, n, vpn, tkey, cycle, data_end,
                 total_bytes, stall, meta, rc, run_streamable,
-                vas_col, sizes_col, uniform_size,
+                self.fault_handler, vas_col, sizes_col, uniform_size,
             )
         else:
             i, cycle, data_end, total_bytes, stall, faulted = self._no_prmb_run(
@@ -2491,9 +2560,10 @@ class TranslationEngine:
                 if handled:
                     continue
                 # The whole-burst runner may have crossed page boundaries
-                # before faulting or blocking, so transaction ``i`` is not
-                # necessarily the one this iteration derived its locals
-                # from: re-derive them before the reference-step replay.
+                # before blocking (or faulting with no handler), so
+                # transaction ``i`` is not necessarily the one this
+                # iteration derived its locals from: re-derive them before
+                # the reference-step replay.
                 va = va_list[i]
                 size = size_list[i]
                 vpn = va >> vpn_shift

@@ -23,6 +23,7 @@ bandwidth is available", Section IV-A).
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -229,11 +230,9 @@ class MMU:
         #: the stale PFN.  Keyed by walker id so a *fresh* post-shootdown
         #: walk for the same page fills normally.
         self._poisoned_walkers: Set[int] = set()
-        #: Optional demand-paged memory tier
-        #: (:class:`~repro.memory.tiering.LocalMemoryTier`) whose fault
-        #: handler drives page migration through this MMU's shootdown
-        #: path.  Set by :meth:`LocalMemoryTier.bind`.
-        self.paging_tier: Optional[LocalMemoryTier] = None
+        #: Weak link to the demand-paged memory tier (see
+        #: :attr:`paging_tier`).
+        self._paging_tier: Optional[weakref.ReferenceType[LocalMemoryTier]] = None
         self.stats = TranslationStats()
         self._vpn_shift = page_offset_bits(config.page_size)
         self._tlb_latency = config.tlb_hit_latency
@@ -287,6 +286,26 @@ class MMU:
             policy=self.share_policy,
         )
         self.pts = PendingTranslationScoreboard(config.n_walkers)
+
+    @property
+    def paging_tier(self) -> Optional[LocalMemoryTier]:
+        """Optional demand-paged memory tier
+        (:class:`~repro.memory.tiering.LocalMemoryTier`) whose fault
+        handler drives page migration through this MMU's shootdown path.
+        Set by :meth:`LocalMemoryTier.bind`.
+
+        Held weakly: the tier holds this MMU (its shootdown target) and
+        the engine holds the tier through its fault handler, so a strong
+        link back would make every paged simulation a reference cycle
+        that only the cyclic garbage collector frees.  None once the
+        tier itself is gone.
+        """
+        ref = self._paging_tier
+        return None if ref is None else ref()
+
+    @paging_tier.setter
+    def paging_tier(self, tier: Optional[LocalMemoryTier]) -> None:
+        self._paging_tier = None if tier is None else weakref.ref(tier)
 
     # ------------------------------------------------------------------ #
     # address-space contexts                                             #

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..memory.address import PAGE_SIZE_4K, page_offset_bits, split_indices
-from ..memory.page_table import PageFault, PageTable
+from ..memory.page_table import PageTable
 
 
 class WalkInfo(NamedTuple):
@@ -80,11 +80,11 @@ class WalkResolver:
         if cached is not _SENTINEL:
             return cached
         va = vpn << self._offset_bits
-        try:
-            pfn, page_size, levels, entry_pas = self.page_table.resolve(va)
-        except PageFault:
+        resolved = self.page_table.resolve(va)
+        if resolved is None:
             self._cache[vpn] = None
             return None
+        pfn, page_size, levels, entry_pas = resolved
         l4, l3, l2, _ = split_indices(va)
         if page_size == PAGE_SIZE_4K:
             path: Tuple[int, ...] = (l4, l3, l2)

@@ -231,14 +231,17 @@ class PageTable:
             node = entry  # type: ignore[assignment]
         raise AddressError(f"walk for VA 0x{va:x} descended past L1")
 
-    def resolve(self, va: int) -> Tuple[int, int, int, Tuple[int, ...]]:
+    def resolve(self, va: int) -> Optional[Tuple[int, int, int, Tuple[int, ...]]]:
         """Lean walk: ``(pfn, page_size, levels_accessed, entry_pas)``.
 
-        Same traversal and fault behaviour as :meth:`walk`, returning the
-        exact fields the timing engine's :class:`~repro.core.walk_info.WalkResolver`
+        Same traversal as :meth:`walk`, returning the exact fields the
+        timing engine's :class:`~repro.core.walk_info.WalkResolver`
         consumes without materializing per-level :class:`WalkStep` records
         — resolvers walk every distinct page of every context, so the
-        object churn is measurable at workload scale.
+        object churn is measurable at workload scale.  A non-present
+        entry returns None instead of raising :class:`PageFault`: demand
+        paging probes unmapped pages on every fault, and an exception per
+        probe is the costlier answer.
         """
         indices = split_indices(va)
         node = self._root
@@ -248,7 +251,7 @@ class PageTable:
             entry_pas.append(node.pa + 8 * idx)
             entry = node.entries.get(idx)
             if entry is None:
-                raise PageFault(va, level)
+                return None
             if type(entry) is _Leaf:
                 return entry.pfn, entry.page_size, len(entry_pas), tuple(entry_pas)
             node = entry
@@ -260,12 +263,21 @@ class PageTable:
         return result.pfn * result.page_size + (va & (result.page_size - 1))
 
     def is_mapped(self, va: int) -> bool:
-        """True when a walk for ``va`` would succeed."""
-        try:
-            self.walk(va)
-            return True
-        except PageFault:
-            return False
+        """True when a walk for ``va`` would succeed.
+
+        Descends the radix tree directly: no :class:`WalkStep` records,
+        no :class:`PageFault` for the (common) unmapped answer.
+        """
+        indices = split_indices(va)
+        node = self._root
+        for level in range(PAGE_TABLE_LEVELS, 0, -1):
+            entry = node.entries.get(indices[PAGE_TABLE_LEVELS - level])
+            if entry is None:
+                return False
+            if type(entry) is _Leaf:
+                return True
+            node = entry  # type: ignore[assignment]
+        raise AddressError(f"walk for VA 0x{va:x} descended past L1")
 
     # ------------------------------------------------------------------ #
     # introspection                                                      #

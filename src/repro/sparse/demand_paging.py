@@ -29,6 +29,7 @@ paper's presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from ..core.engine import TranslationEngine
@@ -48,6 +49,12 @@ from .numa import nvlink_link
 from .recsys import RecSysSystem
 
 MB = 1024 * 1024
+
+#: MLP workloads of the dense phase, interned by value.  The simulator's
+#: construction cache keys on workload identity (see
+#: ``repro.workloads.registry``), so a fresh but equal ``Workload`` per
+#: run would add a never-reused entry holding a whole address space.
+_MLP_WORKLOADS: Dict[Workload, Workload] = {}
 
 
 @dataclass(frozen=True)
@@ -188,9 +195,10 @@ class DemandPagingSimulator:
         for table, seg, _local in self._segments:
             count = slice_samples * self.model.lookups_per_table
             rows = self.sampler.sample(table.rows, count)
-            for row in rows:
-                va = seg.va + int(row) * table.vector_bytes
-                txs.append((va, table.vector_bytes))
+            vector_bytes = table.vector_bytes
+            # 48-bit VAs: exact in int64.
+            vas = rows * vector_bytes + seg.va
+            txs.extend(zip(vas.tolist(), repeat(vector_bytes, count)))
         return txs
 
     def run(self) -> DemandPagingResult:
@@ -251,6 +259,7 @@ class DemandPagingSimulator:
             batch=batch_slice,
             layers=tuple(layers),
         )
+        workload = _MLP_WORKLOADS.setdefault(workload, workload)
         mlp_result = run_workload(workload, self.mmu_config, self.npu_config)
 
         recsys = RecSysSystem(

@@ -57,6 +57,15 @@ FUZZ_CONFIGS = [
     MMUConfig(name="w2s4", n_walkers=2, prmb_slots=4),
 ]
 
+#: Fault-handling paths: NeuMMU's fused PRMB dispatch, the baseline
+#: IOMMU's fused FIFO runner, and the PRMB-less loop used when a path
+#: cache is on.
+FAULT_CONFIGS = [
+    neummu_config(),
+    baseline_iommu_config(),
+    MMUConfig(name="iommu_tpreg", n_walkers=4, path_cache="tpreg"),
+]
+
 
 def build_table(first_pfn=10):
     table = PageTable()
@@ -166,8 +175,13 @@ class TestColumnarRepresentation:
 # --------------------------------------------------------------------- #
 
 
-def run_mode(mode, config, qos, schedule, page_size):
-    """One full multi-ASID run in ``mode``; returns comparable state."""
+def run_mode(mode, config, qos, schedule, page_size, evict=False):
+    """One full multi-ASID run in ``mode``; returns comparable state.
+
+    With ``evict`` the fault handler also unmaps and shoots down one
+    other mapped page per fault, preferring a page with a walk in
+    flight, so faults poison in-flight walks mid-burst.
+    """
     cfg = replace(config, engine_mode=mode, qos=qos, page_size=page_size)
     mmu = MMU(cfg, None)
     tables = {
@@ -194,7 +208,23 @@ def run_mode(mode, config, qos, schedule, page_size):
         # Shoot down the negative-result caches so the retry resolves
         # (mirrors LocalMemoryTier.handle_fault).
         mmu.shootdown(vpn, asid)
+        if evict:
+            evict_one(vpn, asid)
         return cycle + 2500.0
+
+    def evict_one(vpn, asid):
+        # Unmap + shootdown, as LocalMemoryTier's budget eviction does,
+        # but aimed at in-flight pages (the tier itself skips those).
+        first = (BASE >> page_bits) + vpn % N_PAGES
+        candidates = [
+            c for c in range(first, first + N_PAGES)
+            if c != vpn and tables[asid].is_mapped(c << page_bits)
+        ]
+        in_flight = [c for c in candidates if mmu.pts.peek(c, asid)]
+        victims = in_flight or candidates
+        if victims:
+            tables[asid].unmap_page(victims[0] << page_bits, page_size)
+            mmu.shootdown(victims[0], asid)
 
     engine.fault_handler = demand_map
     results = []
@@ -245,18 +275,54 @@ class TestEngineDifferential:
     @given(_burst)
     @settings(max_examples=20, deadline=None)
     def test_faults_counted_identically(self, burst):
-        """Injected faults retire with the same count and service order."""
+        """Injected faults retire with the same count and service order,
+        on the fused PRMB dispatch and on both PRMB-less runners (which
+        take faults in place), with and without fault-time evictions."""
         schedule = [(0, burst)]
-        columnar = run_mode(
-            "columnar", neummu_config(), "full_share", schedule, PAGE_SIZE_4K
-        )
-        reference = run_mode(
-            "reference", neummu_config(), "full_share", schedule, PAGE_SIZE_4K
-        )
-        assert columnar == reference
         n_faulting = sum(1 for page, _, _ in burst if page < 0)
-        if n_faulting:
-            assert columnar["summary"].faults > 0
+        for config in FAULT_CONFIGS:
+            for evict in (False, True):
+                columnar = run_mode(
+                    "columnar", config, "full_share", schedule,
+                    PAGE_SIZE_4K, evict,
+                )
+                reference = run_mode(
+                    "reference", config, "full_share", schedule,
+                    PAGE_SIZE_4K, evict,
+                )
+                assert columnar == reference, (config.name, evict)
+                if n_faulting:
+                    assert columnar["summary"].faults > 0
+
+    def test_faulting_iommu_burst_skips_translate(self):
+        """The fused FIFO runner handles faults itself: a faulting
+        baseline-IOMMU burst never dispatches through MMU.translate."""
+        cfg = replace(baseline_iommu_config(), engine_mode="columnar")
+        table = build_table()
+        mmu = MMU(cfg, table)
+        engine = TranslationEngine(mmu, MainMemory())
+        faults = []
+
+        def demand_map(vpn, cycle, asid):
+            faults.append(vpn)
+            table.map_range(vpn << 12, PAGE_SIZE_4K, first_pfn=2_000_000 + len(faults))
+            mmu.shootdown(vpn, asid)
+            return cycle + 2500.0
+
+        engine.fault_handler = demand_map
+        calls = []
+        translate = mmu.translate
+
+        def spy(*args):
+            calls.append(args)
+            return translate(*args)
+
+        mmu.translate = spy
+        burst = [(p, s, 256) for p in (0, -1, 1, -2, -3, 2) for s in range(8)]
+        txs = ColumnarTransactionStream.from_pairs(materialize(burst), PAGE_SIZE_4K)
+        engine.run_burst(txs, 0.0)
+        assert len(faults) == 3 and mmu.stats.faults == 3
+        assert calls == []
 
 
 # --------------------------------------------------------------------- #

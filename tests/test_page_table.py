@@ -119,6 +119,31 @@ class TestWalkSteps:
         assert exc.value.level == 1
 
 
+    def test_resolve_and_is_mapped_agree_with_walk(self):
+        """The lean probes answer exactly what ``walk`` answers, without
+        raising: ``resolve`` returns None and ``is_mapped`` False where
+        ``walk`` raises PageFault."""
+        pt = PageTable()
+        pt.map_page(BASE, 1)
+        pt.map_page(BASE + PAGE_SIZE_2M, 9, page_size=PAGE_SIZE_2M)
+        probes = [
+            BASE, BASE + 77, BASE + PAGE_SIZE_4K, BASE + PAGE_SIZE_2M + 12345,
+            BASE + 2 * PAGE_SIZE_2M, 0x10_0000_0000,
+        ]
+        for va in probes:
+            try:
+                result = pt.walk(va)
+            except PageFault:
+                assert pt.resolve(va) is None
+                assert not pt.is_mapped(va)
+                continue
+            assert pt.is_mapped(va)
+            assert pt.resolve(va) == (
+                result.pfn, result.page_size, result.levels_accessed,
+                tuple(step.entry_pa for step in result.steps),
+            )
+
+
 class TestIntrospection:
     def test_iter_mappings_roundtrip(self):
         pt = PageTable()

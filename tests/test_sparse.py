@@ -1,11 +1,15 @@
 """Tests for the sparse case study: links, sharding, recsys, demand paging."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mmu import baseline_iommu_config, neummu_config, oracle_config
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
+from repro.npu import simulator as npu_simulator
 from repro.npu.config import InterconnectConfig, NPUConfig
 from repro.sparse.demand_paging import (
     DemandPagingConfig,
@@ -15,7 +19,7 @@ from repro.sparse.demand_paging import (
 from repro.sparse.multi_npu import shard_model
 from repro.sparse.numa import HostRuntime, LinkModel, nvlink_link, pcie_link
 from repro.sparse.recsys import TRANSPORTS, LatencyBreakdown, RecSysSystem
-from repro.workloads.embedding import dlrm, ncf
+from repro.workloads.embedding import ZipfSampler, dlrm, ncf
 
 MB = 1024 * 1024
 
@@ -288,6 +292,67 @@ class TestDemandPaging:
                     va = vpn << sim._vpn_shift
                     assert table.is_mapped(va), f"stale TLB entry 0x{vpn:x}"
                     assert pfn == table.walk(va).pfn
+
+    @pytest.mark.parametrize(
+        "config_factory", [oracle_config, neummu_config, baseline_iommu_config]
+    )
+    def test_finished_simulation_freed_by_refcount(self, config_factory):
+        """A finished paged simulation holds no reference cycle: its page
+        table (and the MMU, TLB and walk records around it) is freed the
+        moment the simulator is dropped, without a cyclic collection."""
+        system = DemandPagingConfig(batches=2, warm_batches=1,
+                                    table_rows=10_000,
+                                    local_budget_bytes=1 * MB)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = DemandPagingSimulator(
+                dlrm(), config_factory(PAGE_SIZE_4K), batch=8, system=system
+            )
+            sim.run()
+            assert sim.faults > 0
+            table = weakref.ref(sim.space.page_table)
+            mmu = weakref.ref(sim.mmu)
+            del sim
+            assert table() is None and mmu() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_dense_phase_reuses_construction_cache(self):
+        """The MLP workload is interned by value, so repeated DLRM runs
+        hit the simulator's identity-keyed construction cache instead of
+        adding a never-reused entry per run."""
+        cache = npu_simulator._CONSTRUCTION_CACHE
+        config = baseline_iommu_config(PAGE_SIZE_4K)
+        sims = [
+            DemandPagingSimulator(dlrm(), config, batch=8, system=FAST_DP)
+            for _ in range(2)
+        ]
+        first = sims[0]._dense_cycles_per_batch()
+        size = len(cache)
+        assert sims[1]._dense_cycles_per_batch() == first
+        assert len(cache) == size
+
+    def test_gather_matches_per_row_loop(self):
+        """The vectorised gather emits the per-row ``(va, size)`` tuples
+        of a same-seeded sampler, in order, as Python ints."""
+        sim = DemandPagingSimulator(
+            dlrm(), oracle_config(PAGE_SIZE_4K), batch=8, system=FAST_DP
+        )
+        sampler = ZipfSampler(FAST_DP.zipf_s, seed=FAST_DP.seed)
+        count = max(1, 8 // FAST_DP.n_npus) * sim.model.lookups_per_table
+        for _ in range(2):
+            expected = []
+            for table, seg, _local in sim._segments:
+                for row in sampler.sample(table.rows, count):
+                    expected.append(
+                        (seg.va + int(row) * table.vector_bytes,
+                         table.vector_bytes)
+                    )
+            txs = sim._batch_transactions()
+            assert txs == expected
+            assert all(type(va) is int for va, _ in txs)
 
     def test_zipf_reuse_reduces_faults_over_time(self):
         """After warm-up, hot pages are resident: steady-state faults per

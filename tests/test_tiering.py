@@ -182,6 +182,15 @@ class TestLocalMemoryTier:
         tier.bind(mmu)  # same MMU: idempotent
         assert mmu.paging_tier is tier
 
+    def test_mmu_links_back_to_tier_weakly(self):
+        """The tier owns its MMU (the shootdown target); the MMU's link
+        back is weak, so the pair forms no reference cycle and the MMU
+        reports no tier once the tier is gone."""
+        mmu, tier, _ = two_context_tier()
+        assert mmu.paging_tier is tier
+        del tier
+        assert mmu.paging_tier is None
+
     def test_eviction_respects_budget_and_unmaps(self):
         mmu, tier, spaces = two_context_tier(budget_pages_1=2)
         seg = spaces[1].segments()[0]
