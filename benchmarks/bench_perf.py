@@ -16,18 +16,17 @@ and writes ``benchmarks/results/BENCH_perf.json``:
   3 RNN-2 tenants saturating the 8-walker IOMMU under the two
   non-trivial QoS regimes, so the weekly gate watches the calendar's
   bulk-retire discipline directly.  Recorded from PR 8 onward.
-* ``quota_hit_phase`` — the quota burn-down planner's target shape
-  isolated: two weighted tenants alternating cold-walk trains with long
-  resident hit stretches, so walker completions come due *inside* the
-  stretches and ``NEUMMU_QUOTA_BATCH`` retires them in closed form.
-  Recorded from PR 9 onward.
-* ``quota_miss_phase`` — the mixed-window miss planner's target shape
-  isolated: two weighted tenants alternating saturated cold-page storms
-  (one transaction per fresh page, shot down between bursts so every
-  pass stays cold), so the issue port lives in the blocked
-  stall/retire/restart chain ``NEUMMU_MISS_BATCH`` retires as whole
-  windows (``plan_window``/``drain_window``).  Recorded from PR 10
-  onward.
+* ``quota_hit_phase`` — a quota-regime hit phase isolated: two
+  weighted tenants alternating cold-walk trains with long resident hit
+  stretches, so walker completions come due *inside* the stretches and
+  the hit/retire ping-pong runs per event.  Recorded from PR 9 onward
+  (it was built for a closed-form hit planner since removed at parity).
+* ``quota_miss_phase`` — a quota-regime miss phase isolated: two
+  weighted tenants alternating saturated cold-page storms (one
+  transaction per fresh page, shot down between bursts so every pass
+  stays cold), so the issue port lives in the blocked
+  stall/retire/restart chain.  Recorded from PR 10 onward (it was built
+  for a mixed-window miss planner since removed at parity).
 * ``demand_paging`` — one DLRM Figure 16 cell on the 8-walker IOMMU
   plus a 2-tenant paged contention run through the memory-tier
   subsystem (``repro.memory.tiering``): fault handling, migration-fabric
@@ -53,11 +52,10 @@ any scenario sits more than 20% below the normalized expectation
 ``benchmarks/results/BENCH_perf.json``
 (gitignored, like every generated benchmark artifact) so local and CI
 runs never dirty the working tree; the copy committed at the repository
-root is the frozen record taken once the fused loops handled page
-faults in place (the columnar engine, completion calendar, quota
-burn-down and mixed-window planners, plus in-runner fault handling,
-which moves ``demand_paging``), regenerated only when a change
-intentionally moves the needle.  ``NEUMMU_PERF_OUT`` overrides the
+root is the frozen record taken once the quota planners were deleted
+(the columnar engine, completion calendar and in-runner fault handling,
+with quota regimes on the per-event path), regenerated only when a
+change intentionally moves the needle.  ``NEUMMU_PERF_OUT`` overrides the
 output path.
 
 Paired A/B mode (``--paired VAR=a,b [--pairs N] [--only s1,s2]``): times
@@ -233,6 +231,38 @@ BASELINE = {
         "quota_miss_phase": {"wall_s": 0.496, "translations_per_sec": 72508},
         "demand_paging": {"wall_s": 1.231, "translations_per_sec": 149868},
     },
+    # Quota-planner deletion: pre_quota_planner_deletion is the tree with
+    # the PR 9 burn-down and PR 10 mixed-window planners and
+    # post_quota_planner_deletion the tree without them (quota regimes on
+    # the per-event path), five interleaved back-to-back pairs on a shared
+    # 2-CPU box (order flipped every pair); each row is the per-scenario
+    # median wall time.  Paired throughput ratios post/pre (median, IQR):
+    # engine_fastpath 1.05x (0.90-1.23), single_tenant 0.94x (0.89-1.17),
+    # qos_sweep 1.07x (0.98-1.23), contended_sweep 1.17x (0.77-1.18),
+    # quota_hit_phase 1.14x (0.92-1.24), quota_miss_phase 1.03x
+    # (0.83-1.05), demand_paging 0.89x (0.84-0.98; 12 further
+    # demand_paging-only pairs: 1.04x, 0.93-1.28).  Single pairs swung
+    # 0.59-1.72 on ambient load: parity, which the drift-corrected
+    # perfbench workloads confirm (tenant_qos 1.01x, dense_sweep 1.00x,
+    # paged_sparse 1.00x).
+    "pre_quota_planner_deletion": {
+        "engine_fastpath": {"wall_s": 0.161, "translations_per_sec": 1628224},
+        "single_tenant": {"wall_s": 1.174, "translations_per_sec": 262207},
+        "qos_sweep": {"wall_s": 6.168, "translations_per_sec": 430879},
+        "contended_sweep": {"wall_s": 2.774, "translations_per_sec": 319354},
+        "quota_hit_phase": {"wall_s": 0.628, "translations_per_sec": 974522},
+        "quota_miss_phase": {"wall_s": 0.345, "translations_per_sec": 104348},
+        "demand_paging": {"wall_s": 0.894, "translations_per_sec": 206361},
+    },
+    "post_quota_planner_deletion": {
+        "engine_fastpath": {"wall_s": 0.181, "translations_per_sec": 1448309},
+        "single_tenant": {"wall_s": 1.191, "translations_per_sec": 258464},
+        "qos_sweep": {"wall_s": 5.577, "translations_per_sec": 476540},
+        "contended_sweep": {"wall_s": 2.998, "translations_per_sec": 295493},
+        "quota_hit_phase": {"wall_s": 0.544, "translations_per_sec": 1125000},
+        "quota_miss_phase": {"wall_s": 0.329, "translations_per_sec": 109422},
+        "demand_paging": {"wall_s": 0.937, "translations_per_sec": 196891},
+    },
 }
 
 
@@ -338,17 +368,16 @@ def contended_sweep():
 
 
 def quota_hit_phase():
-    """The quota burn-down planner's target, isolated.
+    """A quota-regime hit phase, isolated.
 
     Two weighted tenants on the 8-walker IOMMU alternate bursts that
     saturate the walker pool with cold pages and then hold a single
     resident page's hit stretch open for hundreds of transactions — so
-    the in-flight walker completions come due *inside* the hit stretch,
-    the hit/retire ping-pong ``NEUMMU_QUOTA_BATCH`` retires in closed
-    form (``plan_hits``/``drain_hits``).  The RNN-driven sweeps barely
-    expose this shape (their hit runs are short and carry one or two
-    dues); this cell pins it so the weekly gate watches the burn-down
-    discipline directly.  Recorded from PR 9 onward.
+    the in-flight walker completions come due *inside* the hit stretch
+    and the engine steps the hit/retire ping-pong per event.  The
+    RNN-driven sweeps barely expose this shape (their hit runs are short
+    and carry one or two dues); this cell pins it so the weekly gate
+    watches it directly.  Recorded from PR 9 onward.
     """
     from dataclasses import replace
 
@@ -381,9 +410,8 @@ def quota_hit_phase():
         txs = ColumnarTransactionStream.from_pairs(pairs, PAGE_SIZE_4K)
         engine.run_burst(txs, cycle, asid)
         # Unmap the burst's window (streaming churn): occupancy stays
-        # bounded below the weighted quota, so the deferred fills remain
-        # admissible and the planner engages on every burst rather than
-        # declining on quota-bound once the TLB fills up.
+        # bounded below the weighted quota, so every burst keeps the same
+        # shape instead of turning quota-bound once the TLB fills up.
         mmu.drain()
         for k in range(60):
             mmu.shootdown(base // PAGE_SIZE_4K + head + k, asid)
@@ -393,19 +421,17 @@ def quota_hit_phase():
 
 
 def quota_miss_phase():
-    """The mixed-window miss planner's target, isolated.
+    """A quota-regime miss phase, isolated.
 
     Two weighted tenants on the 8-walker IOMMU alternate saturated
     cold-page storms: one transaction per fresh page keeps the walker
     pool full and the issue port fully blocked, so between interaction
-    points the engine lives in the FIFO stall/retire/restart chain that
-    ``NEUMMU_MISS_BATCH`` plans and retires as whole mixed windows
-    (``plan_window``/``drain_window``).  Each burst's pages are shot
-    down afterwards so every pass stays cold (sustained miss phase, no
-    hit stretches).  The quota policy makes every window a *policied*
-    window: the planner must prove it via the pointwise gate or the
-    closed-form quota trajectory, exactly the regime the PR 10 ledger
-    measures.  Recorded from PR 10 onward.
+    points the engine lives in the FIFO stall/retire/restart chain.
+    Each burst's pages are shot down afterwards so every pass stays cold
+    (sustained miss phase, no hit stretches).  The quota policy makes
+    every window a *policied* one: only the calendar's pointwise quota
+    gate can batch it, otherwise it runs per event.  Recorded from PR 10
+    onward.
     """
     from dataclasses import replace
 

@@ -71,28 +71,26 @@ from ..npu.simulator import (
 #: effective engine mode and the tiering/paging configuration — schema-1
 #: keys could serve a ``NEUMMU_ENGINE=reference`` run a cached columnar
 #: result (and knew nothing about demand-paged runs at all).  3: the key
-#: folds in the fast-path environment knobs (``NEUMMU_QUOTA_BATCH``,
-#: ``NEUMMU_CALENDAR``) — results are bit-identical either way, but the
-#: CI byte-identity smokes that *prove* that would otherwise be served
-#: one mode's cached cells while exercising the other.  4: adds
-#: ``NEUMMU_MISS_BATCH`` (mixed-window miss planner) to the knob set for
-#: the same reason.
-CACHE_SCHEMA = 4
+#: folds in the fast-path environment knobs — results are bit-identical
+#: either way, but the CI byte-identity smokes that *prove* that would
+#: otherwise be served one mode's cached cells while exercising the other.
+#: 4: adds the mixed-window miss planner's knob.  5: the quota-planner
+#: knobs are gone with their planners, so ``engine_knobs`` holds only
+#: ``NEUMMU_CALENDAR``.
+CACHE_SCHEMA = 5
 
 
 def _engine_env_knobs() -> Dict[str, bool]:
     """Effective fast-path environment knobs, folded into cache keys.
 
-    Each selects between bit-identical engine paths, so sharing cached
-    results across them would be *correct* — but it would silently turn
-    the ``NEUMMU_QUOTA_BATCH=0`` vs ``=1`` (and calendar) byte-identity
-    smokes into cache-hit no-ops.  Keyed separately so a poisoned run of
-    one mode can never mask a divergence in the other.
+    ``NEUMMU_CALENDAR`` selects between bit-identical engine paths, so
+    sharing cached results across them would be *correct* — but it would
+    silently turn a calendar on/off byte-identity comparison into a
+    cache-hit no-op.  Keyed separately so a poisoned run of one mode can
+    never mask a divergence in the other.
     """
     return {
-        "quota_batch": os.environ.get("NEUMMU_QUOTA_BATCH", "1") != "0",
         "calendar": os.environ.get("NEUMMU_CALENDAR", "1") != "0",
-        "miss_batch": os.environ.get("NEUMMU_MISS_BATCH", "1") != "0",
     }
 
 

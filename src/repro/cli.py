@@ -627,30 +627,6 @@ def _profiled(handler, args) -> int:
                     f"from {worker_dir})"
                 )
         stats.sort_stats("cumulative").print_stats(20)
-        from .core.stats import BURN_DOWN, MISS_WINDOW
-
-        counters = BURN_DOWN.snapshot()
-        print("--- quota burn-down planner (NEUMMU_QUOTA_BATCH) ---")
-        if any(counters.values()):
-            for name, value in counters.items():
-                print(f"{name:>24}: {value}")
-        else:
-            print(
-                "(no batched hit stretches: quota batching disabled, or "
-                "no stretch reached the three-due profitability gate; "
-                "with --jobs != 1 workers keep their own counters)"
-            )
-        counters = MISS_WINDOW.snapshot()
-        print("--- mixed-window miss planner (NEUMMU_MISS_BATCH) ---")
-        if any(counters.values()):
-            for name, value in counters.items():
-                print(f"{name:>24}: {value}")
-        else:
-            print(
-                "(no mixed windows attempted: miss batching disabled, or "
-                "no miss phase reached the planner gate; with --jobs != 1 "
-                "workers keep their own counters)"
-            )
     return code
 
 

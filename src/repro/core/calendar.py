@@ -42,40 +42,6 @@ Calendar buckets may only be consumed through :meth:`drain_stretch` (the
 designated drain, mirroring the epoch-bump discipline): the ``cal_*``
 bucket columns and cursor are written nowhere else, and the simlint rule
 ``cyc-calendar-retire`` enforces that statically.
-
-Quota burn-down hit stretches
------------------------------
-The hit-phase counterpart (ROADMAP open item 2, ``NEUMMU_QUOTA_BATCH``):
-under quota regimes the TLB-hit/retire ping-pong makes every walk
-completion an interaction point, collapsing the engine's hit segments to
-a transaction or two.  :meth:`plan_hits` proves the completions due
-inside a candidate hit span can be *deferred* past it — no fill in the
-bucket can trigger victim selection (:func:`hit_fills_admissible`, built
-on :meth:`SharePolicy.burn_down <repro.core.qos.SharePolicy.burn_down>`),
-so every fill is a pure append/bump that commutes with resident-page
-hits, and draining the bucket *before* the span's final MRU bump
-reproduces the per-event interleaving's TLB order, mirrors and stamps
-exactly.  :meth:`drain_hits` then retires the planned hit stretch and
-its completion bucket in one fused drain.  The ``bd_*`` plan state
-follows the same discipline as the ``cal_*`` columns (simlint rule
-``cyc-burndown-admit``).
-
-Mixed-window miss phases
-------------------------
-The miss-phase generalization (``NEUMMU_MISS_BATCH``):
-:meth:`plan_window` extends the stretch gate to windows the pointwise
-quota check declines outright — mixed windows whose in-flight set spans
-tenants, and windows reaching past a finite policy event horizon — by
-proving a feasible prefix with a closed-form quota *trajectory*
-(:meth:`_window_prefix`) and certifying quota constancy across policy
-events via :meth:`SharePolicy.rebalance_horizon
-<repro.core.qos.SharePolicy.rebalance_horizon>` /
-:meth:`~repro.core.qos.SharePolicy.admitted_segments`.  The bucket is a
-plain stretch bucket (the validation and columns are delegated), so
-:meth:`drain_window` retires through :meth:`drain_stretch`; the ``win_*``
-bookkeeping columns follow the same single-consumer discipline (simlint
-rule ``cyc-window-retire``) and declines are accounted in
-:data:`~repro.core.stats.MISS_WINDOW`.
 """
 
 from __future__ import annotations
@@ -87,8 +53,6 @@ import numpy as np
 from ..memory.address import ASID_SHIFT
 from ..memory.dram import MainMemory
 from .mmu import MMU
-from .qos import SharePolicy
-from .stats import BURN_DOWN, MISS_WINDOW
 from .tlb import TLB
 from .walk_info import WalkInfo
 
@@ -114,66 +78,6 @@ _MAX_CYCLE = float(1 << 52)
 _PlannedRun = Tuple[int, int, WalkInfo, int, int, int, bool]
 
 
-def hit_fills_admissible(tlb: TLB, walks: Sequence[WalkInfo]) -> bool:
-    """True when deferring every fill in ``walks`` past a TLB-hit stretch
-    cannot change simulator state: no fill can trigger victim selection
-    (nor the policied set-associative fill drop), so each one is a pure
-    append or present-key bump that commutes with resident-page hits.
-
-    Mirrors :meth:`TLB.insert`'s victim conditions over the whole batch.
-    A present key never victimizes (duplicate new keys count once — the
-    second fill finds the first resident).  Unique new keys need set room
-    (``len + new <= ways`` keeps every insert strictly below the way
-    limit) and, under a policy, per-tenant quota room via
-    :meth:`SharePolicy.burn_down <repro.core.qos.SharePolicy.burn_down>`
-    — or work-conserving borrow room, ``sum(occupancy) + new <= entries``,
-    the global free-capacity check the per-event fill applies, evaluated
-    at the last (tightest) insert since occupancy only grows inside the
-    batch.  Counts evolve identically under either interleaving (bumps
-    change no counts), so admissibility in one order implies the other.
-    The built-in policies answer :meth:`TLB.insert`'s ``tlb_quota`` and
-    ``burn_down``'s ``quota`` identically; a policy differentiating the
-    two must override ``burn_down`` to match its TLB vocabulary.
-    """
-    sets = tlb._sets
-    mask = tlb._set_mask
-    new_keys: Set[int] = set()
-    per_set: Dict[int, int] = {}
-    per_tenant: Dict[int, int] = {}
-    for wk in walks:
-        dkey = wk.vpn | (wk.asid << ASID_SHIFT)
-        if dkey in new_keys:
-            continue
-        set_idx = dkey & mask
-        if dkey in sets[set_idx]:
-            continue
-        new_keys.add(dkey)
-        per_set[set_idx] = per_set.get(set_idx, 0) + 1
-        per_tenant[wk.asid] = per_tenant.get(wk.asid, 0) + 1
-    if not new_keys:
-        return True
-    ways = tlb._ways
-    for set_idx, cnt in per_set.items():
-        if len(sets[set_idx]) + cnt > ways:
-            return False
-    policy = tlb._policy
-    if policy is None:
-        return True
-    occupancy = tlb._asid_occupancy
-    entries = tlb.entries
-    borrow_ok: Optional[bool] = None
-    for asid, cnt in per_tenant.items():
-        if policy.burn_down(asid, occupancy.get(asid, 0), cnt, entries) >= cnt:
-            continue
-        if not policy.work_conserving:
-            return False
-        if borrow_ok is None:
-            borrow_ok = sum(occupancy.values()) + len(new_keys) <= entries
-        if not borrow_ok:
-            return False
-    return True
-
-
 class CompletionCalendar:
     """Cycle-indexed completion calendar for one address space's runner.
 
@@ -191,13 +95,11 @@ class CompletionCalendar:
         "_vpn_shift", "_channel_free", "_n_channels", "_ch_bw",
         "_mem_latency", "_interval", "_interval_int", "_static_ok",
         "cal_ready", "cal_walker", "cal_seq", "cal_cursor",
-        "_plan_m", "_plan_pages", "_plan_window_walks",
-        "_plan_window_walkers", "_plan_window_keys", "_plan_heads0",
+        "_plan_m", "_plan_pages", "_plan_inflight_walks",
+        "_plan_inflight_walkers", "_plan_inflight_keys", "_plan_heads0",
         "_plan_dur", "_plan_levels", "_plan_ch", "_plan_finish",
         "_plan_bytes", "_plan_policied", "_plan_my_busy", "_plan_rc",
         "_plan_stall_events", "_plan_fresh_stalls",
-        "_tlb", "_poisoned", "bd_count",
-        "win_m", "win_foreign", "win_quota_proof",
     )
 
     def __init__(
@@ -214,11 +116,9 @@ class CompletionCalendar:
         self._free_list = pool._free
         self._busy_by_asid = pool._busy_by_asid
         self._pts_by_vpn = pts._by_vpn
-        self._tlb = tlb
         self._tlb_sets = tlb._sets
         self._tlb_set_mask = tlb._set_mask
         self._tlb_insert = tlb.insert
-        self._poisoned = mmu._poisoned_walkers
         self._resolvers = mmu._resolvers
         self._walk_latency = pool.walk_latency_per_level
         self._vpn_shift = mmu._vpn_shift
@@ -243,9 +143,9 @@ class CompletionCalendar:
         self.cal_cursor = 0
         self._plan_m = 0
         self._plan_pages: List[_PlannedRun] = []
-        self._plan_window_walks: List[WalkInfo] = []
-        self._plan_window_walkers: List[int] = []
-        self._plan_window_keys: Dict[int, int] = {}
+        self._plan_inflight_walks: List[WalkInfo] = []
+        self._plan_inflight_walkers: List[int] = []
+        self._plan_inflight_keys: Dict[int, int] = {}
         self._plan_heads0 = 0.0
         self._plan_dur = 0
         self._plan_levels = 0
@@ -257,10 +157,6 @@ class CompletionCalendar:
         self._plan_rc = 0
         self._plan_stall_events = 0
         self._plan_fresh_stalls = 0
-        self.bd_count = 0
-        self.win_m = 0
-        self.win_foreign = 0
-        self.win_quota_proof = False
 
     # ------------------------------------------------------------------ #
     # planning                                                           #
@@ -288,15 +184,9 @@ class CompletionCalendar:
         work_conserving: bool,
         my_busy: Optional[Set[int]],
         others: Sequence[Tuple[int, Set[int]]],
-        cap_limit: Optional[int] = None,
     ) -> int:
         """Validate and plan a saturated stretch starting at transaction
         ``i``; returns its length in transactions (0: no stretch applies).
-
-        ``cap_limit`` tightens the stretch cap (in transactions): a
-        caller that proved only a prefix of the window is retirable —
-        :meth:`plan_window`'s quota-trajectory bound — clips the page
-        scan there, exactly like a channel-infeasible cut.
 
         Caller guarantees: the issue port is blocked at an integral
         ``cycle`` at a fresh page (the PTS probe missed — the page has no
@@ -405,8 +295,6 @@ class CompletionCalendar:
         # address stream, and bounding the scan by the feasible prefix
         # keeps a busy channel table from costing a full scan per plan) --
         cap_total = _STRETCH_CAP if n - i > _STRETCH_CAP else n - i
-        if cap_limit is not None and cap_limit < cap_total:
-            cap_total = cap_limit
         n_ch = self._n_channels
         channel_free = self._channel_free
         ch_bw = self._ch_bw
@@ -561,9 +449,9 @@ class CompletionCalendar:
         self.cal_cursor = 0
         self._plan_m = m
         self._plan_pages = pages
-        self._plan_window_walks = window_walks
-        self._plan_window_walkers = [entry[2] for entry in window]
-        self._plan_window_keys = window_keys
+        self._plan_inflight_walks = window_walks
+        self._plan_inflight_walkers = [entry[2] for entry in window]
+        self._plan_inflight_keys = window_keys
         self._plan_heads0 = h0
         self._plan_dur = dur
         self._plan_levels = levels
@@ -607,8 +495,8 @@ class CompletionCalendar:
         """
         m = self._plan_m
         pages = self._plan_pages
-        window_walks = self._plan_window_walks
-        window_walkers = self._plan_window_walkers
+        window_walks = self._plan_inflight_walks
+        window_walkers = self._plan_inflight_walkers
         W = len(window_walks)
         dur = self._plan_dur
         walk_of = self._walk_of
@@ -696,7 +584,7 @@ class CompletionCalendar:
             # (their keys are created and then deleted); only the final
             # in-flight window's pages survive, in lead order — the same
             # surviving-key dict order the per-event path produces.
-            for dkey in self._plan_window_keys:
+            for dkey in self._plan_inflight_keys:
                 del pts_by_vpn[dkey]
             for pkey, pvpn, pwalk, a, b, pend, pstream in pages:
                 lo = a if a > boundary else boundary
@@ -795,348 +683,3 @@ class CompletionCalendar:
             last_walk, self._plan_levels, m, len(pages),
             self._plan_stall_events, self._plan_fresh_stalls,
         )
-
-    # ------------------------------------------------------------------ #
-    # mixed-window miss-phase batching (NEUMMU_MISS_BATCH)               #
-    # ------------------------------------------------------------------ #
-
-    def _window_prefix(
-        self,
-        order: List[Tuple[float, int, int]],
-        idx: int,
-        W: int,
-        my_quota: int,
-        work_conserving: bool,
-        my_busy: Set[int],
-        others: Sequence[Tuple[int, Set[int]]],
-    ) -> int:
-        """Closed-form quota trajectory over a mixed window: how many
-        transactions the per-event loop would retire as a pure
-        stall/retire/restart chain before a quota predicate binds.
-
-        Replays the per-event quota checks exactly, in closed form over
-        the window composition: each foreign retirement transfers one
-        walker to this tenant permanently (its owner's busy count drops,
-        ours grows), so busy counts — and every other tenant's unmet
-        reservation — evolve deterministically along the window.  Step
-        ``t`` is feasible iff the per-event loop's checks at that step
-        would pass: a hard-partitioned tenant must be strictly under
-        quota before each stall, and a work-conserving tenant retiring at
-        or over quota needs zero unmet foreign reservations *after* the
-        retirement's busy discard.  Past one full window turn every
-        retirement is one of our own restarts and the state is
-        stationary, so one steady-state check extends the prefix to the
-        planning cap.  Returns the feasible prefix length in
-        transactions (possibly 0).
-        """
-        walk_of = self._walk_of
-        asid = self.asid
-        busy_me = len(my_busy)
-        rows: List[Tuple[int, int, Set[int]]] = [
-            (oq, len(obusy), obusy) for oq, obusy in others
-        ]
-        for t in range(W):
-            entry = order[idx + t]
-            wk = walk_of[entry[2]]
-            if wk is None:
-                return t  # untracked walker: nothing past here is proven
-            own = wk.asid == asid
-            if not work_conserving and busy_me >= my_quota:
-                # Hard partition at quota stalls on its *own* earliest
-                # walk, not the FIFO head: the chain stops being the
-                # closed form here.
-                return t
-            if own:
-                busy_n = busy_me - 1
-            else:
-                walker = entry[2]
-                for r in range(len(rows)):
-                    oq, cnt, obusy = rows[r]
-                    if walker in obusy:
-                        rows[r] = (oq, cnt - 1, obusy)
-                        break
-                busy_n = busy_me
-            if busy_n >= my_quota:
-                reserved_unmet = 0
-                for oq, cnt, _obusy in rows:
-                    shortfall = oq - cnt
-                    if shortfall > 0:
-                        reserved_unmet += shortfall
-                if reserved_unmet >= 1:
-                    return t  # the borrow room is gone: per-event blocks
-            if not own:
-                busy_me += 1
-        if not work_conserving and busy_me >= my_quota:
-            return W
-        if busy_me - 1 >= my_quota:
-            reserved_unmet = 0
-            for oq, cnt, _obusy in rows:
-                shortfall = oq - cnt
-                if shortfall > 0:
-                    reserved_unmet += shortfall
-            if reserved_unmet >= 1:
-                return W
-        return _STRETCH_CAP
-
-    def plan_window(
-        self,
-        order: List[Tuple[float, int, int]],
-        idx: int,
-        i: int,
-        j: int,
-        n: int,
-        cycle: float,
-        vpn: int,
-        tkey: int,
-        walk0: Optional[WalkInfo],
-        run_streamable: bool,
-        meta: Sequence[Tuple[int, bool]],
-        rc: int,
-        vas: Any,
-        sizes: Any,
-        uniform: Optional[int],
-        policied: bool,
-        my_quota: Optional[int],
-        work_conserving: bool,
-        my_busy: Optional[Set[int]],
-        others: Sequence[Tuple[int, Set[int]]],
-        policy: Optional[SharePolicy],
-        horizon: float,
-    ) -> int:
-        """Validate and plan a mixed miss-phase window starting at
-        transaction ``i``; returns its length in transactions (0: no
-        window applies, per-event fallback).
-
-        The mixed-window generalization of :meth:`plan_stretch`
-        (``NEUMMU_MISS_BATCH``): where the stretch planner's pointwise
-        gate declines any window whose occupancy exceeds the tenant's
-        quota, this planner proves a *prefix* of the window retirable via
-        the closed-form quota trajectory (:meth:`_window_prefix`), and
-        proves windows reaching past a finite policy event horizon safe
-        via the policy's quota-trajectory API
-        (:meth:`SharePolicy.rebalance_horizon
-        <repro.core.qos.SharePolicy.rebalance_horizon>` /
-        :meth:`~repro.core.qos.SharePolicy.admitted_segments`): a window
-        may span a policy event — even a rebalance event — when the
-        admitted segments certify this tenant's quota is constant across
-        it.  All arithmetic, channel and page-scan validation — and the
-        plan columns themselves — are delegated to :meth:`plan_stretch`
-        with the proven prefix as its cap, so the bucket a window fills
-        is exactly a stretch bucket and :meth:`drain_window` retires it
-        through the designated ``cal_*`` drain.  Declines and their
-        reasons land in :data:`~repro.core.stats.MISS_WINDOW`.
-        """
-        W = len(order) - idx
-        if W < 2 or n - i < _MIN_STRETCH or not self._static_ok:
-            return 0
-        inf = float("inf")
-        if horizon != inf:
-            # A finite policy event horizon inside or after the window:
-            # the per-event path re-consults the policy there, so the
-            # window is only provable when the policy certifies the
-            # admitted quota is constant through the window's last
-            # possible cycle.
-            if policy is None or not cycle < horizon:
-                return 0
-            walk_lat = self._walk_latency
-            if walk0 is None:
-                resolver = self._resolvers[self.asid]
-                walk0 = resolver._cache.get(vpn)
-                if walk0 is None:
-                    walk0 = resolver.resolve_vpn(vpn)
-                    if walk0 is None:
-                        return 0  # faulting lead: the general loop takes it
-            dur_f = float(walk0.levels * walk_lat)
-            cap_total = _STRETCH_CAP if n - i > _STRETCH_CAP else n - i
-            turns = float(-(-cap_total // W) + 1)
-            end_bound = float(order[-1][0]) + turns * dur_f + self._interval
-            segments = policy.admitted_segments(
-                self.asid, cycle, end_bound, len(self._walk_of)
-            )
-            covered = cycle
-            constant = True
-            for seg_start, seg_end, seg_quota in segments:
-                if seg_start > covered or seg_quota != my_quota:
-                    constant = False
-                    break
-                if seg_end > covered:
-                    covered = seg_end
-            if not constant or covered < end_bound:
-                MISS_WINDOW.fallback_windows += 1
-                MISS_WINDOW.fail_rebalance += 1
-                return 0
-        cap_limit: Optional[int] = None
-        quota_proof = False
-        if policied and my_quota is not None and W > my_quota:
-            assert my_busy is not None
-            if W != len(my_busy) or not work_conserving:
-                # Mixed or hard-partitioned over-quota window: the
-                # pointwise gate declines outright; prove the feasible
-                # prefix instead.  The closed form needs an exhausted
-                # pool — free walkers under a failed borrow mean the
-                # per-event path spins retire-without-issue, which is
-                # not the one-retire-per-issue chain.
-                if self._free_list:
-                    prefix = 0
-                else:
-                    prefix = self._window_prefix(
-                        order, idx, W, my_quota, work_conserving,
-                        my_busy, others,
-                    )
-                if prefix < _MIN_STRETCH:
-                    MISS_WINDOW.fallback_windows += 1
-                    MISS_WINDOW.fail_quota_bound += 1
-                    MISS_WINDOW.quota_prefix_txns += prefix
-                    return 0
-                cap_limit = prefix
-                my_quota = None  # the gate is satisfied by the proof
-                quota_proof = True
-        m = self.plan_stretch(
-            order, idx, i, j, n, cycle, vpn, tkey, walk0, run_streamable,
-            meta, rc, vas, sizes, uniform, policied, my_quota,
-            work_conserving, my_busy, others, cap_limit=cap_limit,
-        )
-        if not m:
-            MISS_WINDOW.fallback_windows += 1
-            MISS_WINDOW.fail_plan += 1
-            return 0
-        lim = W if W < m else m
-        foreign = 0
-        for wk in self._plan_window_walks[:lim]:
-            if wk.asid != self.asid:
-                foreign += 1
-        self.win_m = m
-        self.win_foreign = foreign
-        self.win_quota_proof = quota_proof
-        return m
-
-    def drain_window(
-        self,
-        order: List[Tuple[float, int, int]],
-        idx: int,
-        i: int,
-        cycle: float,
-        data_end: float,
-        total_bytes: int,
-        stall: float,
-        sc: float,
-        seq: int,
-        prev_walk: Optional[WalkInfo],
-    ) -> Tuple[
-        int, float, float, int, float, float, int,
-        int, int, int, bool, int, WalkInfo, int, int, int, int, int,
-    ]:
-        """Retire the planned window (the only consumer of the ``win_*``
-        columns) and return the runner's updated segment state.
-
-        The bucket itself is a stretch bucket — :meth:`plan_window`
-        delegated the columns — so the state transitions are exactly
-        :meth:`drain_stretch`'s; this drain folds the window bookkeeping
-        into :data:`~repro.core.stats.MISS_WINDOW` and resets the
-        ``win_*`` columns (the same single-consumer discipline as
-        ``cal_*``, enforced statically by the simlint rule
-        ``cyc-window-retire``).
-        """
-        MISS_WINDOW.windows_planned += 1
-        MISS_WINDOW.window_txns += self.win_m
-        MISS_WINDOW.window_foreign += self.win_foreign
-        if self.win_quota_proof:
-            MISS_WINDOW.window_quota_proofs += 1
-        self.win_m = 0
-        self.win_foreign = 0
-        self.win_quota_proof = False
-        return self.drain_stretch(
-            order, idx, i, cycle, data_end, total_bytes, stall, sc, seq,
-            prev_walk,
-        )
-
-    # ------------------------------------------------------------------ #
-    # quota burn-down hit stretches                                      #
-    # ------------------------------------------------------------------ #
-
-    def plan_hits(
-        self, order: List[Tuple[float, int, int]], idx: int, cutoff: float
-    ) -> int:
-        """Plan a hit-stretch completion bucket: every walk completion due
-        at or before ``cutoff`` (the stretch's last issue cycle, computed
-        bit-exactly by the caller) must be deferrable past the stretch —
-        :func:`hit_fills_admissible` proves no fill can victimize, a
-        poisoned walker (shootdown residency event) or an untracked walk
-        declines outright.  Returns the bucket size (>= 1) or -1
-        (per-event fallback), recording the plan-failure reason in the
-        process-wide :data:`~repro.core.stats.BURN_DOWN` telemetry.
-
-        Caller guarantees ``order[idx:]`` is ready-sorted with its head
-        due at or before ``cutoff``, so the bucket is the due prefix.
-        """
-        walk_of = self._walk_of
-        poisoned = self._poisoned
-        walks: List[WalkInfo] = []
-        scan = idx
-        end = len(order)
-        while scan < end:
-            entry = order[scan]
-            if entry[0] > cutoff:
-                break
-            if poisoned and entry[2] in poisoned:
-                BURN_DOWN.fail_residency += 1
-                return -1
-            wk = walk_of[entry[2]]
-            if wk is None:
-                BURN_DOWN.fail_fault += 1
-                return -1
-            walks.append(wk)
-            scan += 1
-        if not hit_fills_admissible(self._tlb, walks):
-            BURN_DOWN.fail_quota_bound += 1
-            return -1
-        self.bd_count = scan - idx
-        return scan - idx
-
-    def drain_hits(
-        self, order: List[Tuple[float, int, int]], idx: int, policied: bool
-    ) -> Tuple[int, int]:
-        """Retire the planned hit-stretch bucket (the only consumer of the
-        ``bd_*`` plan state), replaying the runner's per-event cursor
-        drain operation for operation — busy-set discard, walker free,
-        PTS release, set-MRU same-PFN fill elision — immediately before
-        the stretch's single MRU bump, which is exactly where the
-        per-event interleaving leaves every one of these fills relative
-        to the stretch page's final recency bump.  Returns the advanced
-        cursor and the released-walk count ``(idx, released)``.
-        """
-        count = self.bd_count
-        self.bd_count = 0
-        walk_of = self._walk_of
-        vpn_arr = self._vpn_arr
-        free_list = self._free_list
-        busy_by_asid = self._busy_by_asid
-        pts_by_vpn = self._pts_by_vpn
-        tlb_sets = self._tlb_sets
-        set_mask = self._tlb_set_mask
-        tlb_insert = self._tlb_insert
-        for _ in range(count):
-            walker = order[idx][2]
-            idx += 1
-            done_walk = walk_of[walker]
-            assert done_walk is not None  # plan_hits validated the bucket
-            vpn_arr[walker] = None
-            walk_of[walker] = None
-            if policied:
-                busy = busy_by_asid.get(done_walk.asid)
-                if busy is not None:
-                    busy.discard(walker)
-            free_list.append(walker)
-            dkey = done_walk.vpn | (done_walk.asid << ASID_SHIFT)
-            registered = pts_by_vpn[dkey]
-            registered.remove(walker)
-            if not registered:
-                del pts_by_vpn[dkey]
-            dset = tlb_sets[dkey & set_mask]
-            if not (
-                dset
-                and next(reversed(dset)) == dkey
-                and dset[dkey] == done_walk.pfn
-            ):
-                tlb_insert(done_walk.vpn, done_walk.pfn, done_walk.asid)
-        return idx, count

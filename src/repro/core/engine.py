@@ -55,11 +55,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..memory.address import ASID_SHIFT
 from ..memory.dram import MainMemory
-from .calendar import CompletionCalendar, hit_fills_admissible
+from .calendar import CompletionCalendar
 from .mmu import MMU, TranslationFault
-from .stats import BURN_DOWN
 from .tlb import TLB
-from .walk_info import WalkInfo
 
 #: A DMA transaction: (virtual address, size in bytes).
 Transaction = Tuple[int, int]
@@ -192,9 +190,6 @@ class TranslationEngine:
         #: regardless — that mode *is* the reference the columnar
         #: representation is golden-diffed against.
         self.batched = batched and mmu.config.engine_mode != "reference"
-        #: Columnar engine mode: fast paths bind plain-list projections of
-        #: structure-of-arrays streams and use the fused run handlers.
-        self.columnar = mmu.config.engine_mode == "columnar"
         #: window index -> number of translation requests issued in it
         #: (Figure 7's burst histogram).  Populated when timeline_window > 0.
         #: A defaultdict so the per-transaction histogram update is one
@@ -203,22 +198,6 @@ class TranslationEngine:
         #: asid -> fused FIFO no-PRMB segment runner (closure over the
         #: MMU's stable structures; see :meth:`_no_prmb_fifo_runner`).
         self._np_runners: Dict[int, NoPrmbRunner] = {}
-        #: Quota burn-down hit-phase batching (ROADMAP open item 2):
-        #: ``NEUMMU_QUOTA_BATCH=0`` forces per-event hit stepping under
-        #: quota regimes (benchmarking and differential-fuzz
-        #: granularity); bit-identity either way.  Read once per engine —
-        #: engines are constructed per run, so tests may flip the knob
-        #: between runs without touching live engines.
-        self._quota_batch = os.environ.get("NEUMMU_QUOTA_BATCH", "1") != "0"
-        #: Mixed-window miss-phase batching (ROADMAP open item 2):
-        #: ``NEUMMU_MISS_BATCH=0`` pins the miss phase to the PR-8
-        #: stretch planner's pointwise quota gate (per-event fallback in
-        #: every regime the gate declines); ``1`` routes planning through
-        #: :meth:`CompletionCalendar.plan_window
-        #: <repro.core.calendar.CompletionCalendar.plan_window>`'s
-        #: closed-form quota-trajectory proofs.  Bit-identity either way;
-        #: read once per engine, like the quota-batch knob.
-        self._miss_batch = os.environ.get("NEUMMU_MISS_BATCH", "1") != "0"
 
     # ------------------------------------------------------------------ #
     # dispatch                                                           #
@@ -1521,8 +1500,6 @@ class TranslationEngine:
         # and differential-fuzz granularity); bit-identity either way.
         calendar = CompletionCalendar(mmu, memory, asid, interval)
         use_calendar = os.environ.get("NEUMMU_CALENDAR", "1") != "0"
-        quota_batch = self._quota_batch
-        miss_batch = self._miss_batch
 
         # Persistent completion snapshot: ``order[idx:]`` mirrors the heap
         # between calls (see the revalidation check below).
@@ -1617,10 +1594,6 @@ class TranslationEngine:
             prev_walk = None
             cal_skip = 0  # plan-failure hysteresis: retry at the next run
             cal_fails = 0  # consecutive declines this burst (backoff gate)
-            bd_skip = 0  # burn-down plan-failure hysteresis, same shape
-            bd_fails = 0  # consecutive burn-down declines (backoff gate)
-            win_skip = 0  # mixed-window plan-failure hysteresis, same shape
-            win_fails = 0  # consecutive window declines (backoff gate)
 
             while True:
                 if tkey in tlb_set:
@@ -1680,108 +1653,11 @@ class TranslationEngine:
                             continue
                         if policied:
                             horizon = next_event(asid, cycle)
-                        bd_due = -1
-                        bspan = 0
-                        # Quota burn-down (ROADMAP open item 2): bound the
-                        # span by the policy horizon and the run alone,
-                        # defer the completions due inside it, and retire
-                        # stretch and completion bucket in one fused
-                        # drain.  Valid only under the planner's
-                        # no-eviction proof (plan_hits /
-                        # hit_fills_admissible): every deferred fill is
-                        # then a pure append/bump, and the drain lands all
-                        # of them immediately before the stretch's single
-                        # MRU bump — exactly the per-event interleaving's
-                        # final LRU order.
-                        #
-                        # Batching pays only when it saves more than a
-                        # couple of hit/retire ping-pongs: one or two due
-                        # completions are cheaper per-event than a plan
-                        # scan (measured on the qos_sweep cells), so the
-                        # gate requires at least three dues inside the
-                        # stretch (``order`` is sorted, so two lookaheads
-                        # decide).  Gate bounds are float-multiply
-                        # estimates of the last issue cycle, checked
-                        # before paying the horizon division —
-                        # attempt-or-not is observationally identical
-                        # either way (per-event fallback), so an ulp of
-                        # slack here cannot leak into results; the plan
-                        # itself re-checks against the bit-exact replayed
-                        # bound below.
-                        if quota_batch and i >= bd_skip and h != inf:
-                            if not (
-                                idx + 2 < len(order)
-                                and order[idx + 2][0]
-                                <= cycle + (j - i - 1) * interval
-                            ):
-                                # Fewer than three dues in the whole rest
-                                # of the run: dues only deplete during a
-                                # hit phase (no walk starts here), so
-                                # later segments of this run cannot do
-                                # better — stop attempting until the next
-                                # run and keep the common case at one
-                                # ``i >= bd_skip`` compare per segment.
-                                # A streak of dry runs writes the burst
-                                # off entirely — the dues pattern is
-                                # workload-structural, so six dry runs in
-                                # a row mean the rest of the burst will
-                                # not batch either (same backoff shape as
-                                # the calendar's ``cal_fails``).
-                                bspan = -1
-                                bd_fails += 1
-                                bd_skip = n if bd_fails >= 6 else j
-                            else:
-                                # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
-                                th = (int((horizon - cycle) / interval) - 1
-                                      if horizon != inf else n)
-                                bspan = j - i
-                                if bspan > th:
-                                    bspan = th
-                            if bspan >= 2:
-                                approx_last = cycle + (bspan - 1) * interval
-                                if (
-                                    h <= approx_last
-                                    and order[idx + 2][0] <= approx_last
-                                ):
-                                    # Replayed float adds: the bit-exact
-                                    # issue cycle of the stretch's last
-                                    # transaction (the plan bound and
-                                    # drain cutoff — dues past it retire
-                                    # at the next loop top, where the
-                                    # per-event path retires them).
-                                    last_issue = cycle
-                                    for _ in range(bspan - 1):
-                                        last_issue += interval
-                                    if (
-                                        h <= last_issue
-                                        and order[idx + 2][0] <= last_issue
-                                    ):
-                                        bd_due = calendar.plan_hits(
-                                            order, idx, last_issue
-                                        )
-                                        if bd_due < 0:
-                                            bd_fails += 1
-                                            bd_skip = (
-                                                n if bd_fails >= 6 else j
-                                            )
-                                            BURN_DOWN.fallback_segments += 1
-                                        else:
-                                            bd_fails = 0
-                            elif bspan >= 0 and j - i >= 2:
-                                # Enough dues to batch, but the policy
-                                # horizon (arbitration turn) lands before
-                                # a two-transaction stretch fits.
-                                BURN_DOWN.fail_arbitration_turn += 1
-                                BURN_DOWN.fallback_segments += 1
-                        if bd_due >= 0:
-                            span = bspan
-                        else:
-                            if policied and horizon < h:
+                            if horizon < h:
                                 h = horizon
-                            # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
-                            t = (int((h - cycle) / interval) - 1
-                                 if h != inf else n)
-                        if bd_due < 0 and t <= 0:
+                        # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
+                        t = int((h - cycle) / interval) - 1 if h != inf else n
+                        if t <= 0:
                             # Horizon-boundary transaction: one reference
                             # hit (no completion is due at this cycle).
                             stats.requests += 1
@@ -1802,10 +1678,9 @@ class TranslationEngine:
                             cycle += interval
                             i += 1
                             continue
-                        if bd_due < 0:
-                            span = j - i
-                            if span > t:
-                                span = t
+                        span = j - i
+                        if span > t:
+                            span = t
                         closed = False
                         va0 = va_list[i]
                         if (
@@ -1858,16 +1733,6 @@ class TranslationEngine:
                                 cycle += interval
                         stats.requests += span
                         stats.tlb_hits += span
-                        if bd_due > 0:
-                            # Fused drain: the planned completion bucket
-                            # retires just before the stretch's MRU bump.
-                            idx, bd_rel = calendar.drain_hits(
-                                order, idx, policied
-                            )
-                            released_n += bd_rel
-                            BURN_DOWN.hit_segments += 1
-                            BURN_DOWN.hit_txns += span
-                            BURN_DOWN.hit_drained += bd_due
                         tlb_touch(vpn, span, asid)
                         i += span
                     if i >= n:
@@ -2178,8 +2043,10 @@ class TranslationEngine:
                     # retire it as one bucket.  Integral accumulators are
                     # required so the bucket's telescoped stall sums are
                     # reassociation-free (see ``core/calendar.py``).
-                    can_plan = (
+                    if (
                         use_calendar
+                        and horizon == inf
+                        and i >= cal_skip
                         and my_walkers is None
                         and meta is not None
                         and vas_col is not None
@@ -2187,54 +2054,6 @@ class TranslationEngine:
                         and cycle.is_integer()
                         and sc.is_integer()
                         and stall.is_integer()
-                    )
-                    if can_plan and miss_batch and i >= win_skip:
-                        # Mixed-window planner (``NEUMMU_MISS_BATCH``):
-                        # generalizes the stretch gate with a closed-form
-                        # quota trajectory (retires W > quota windows the
-                        # pointwise gate declines outright) and spans
-                        # finite policy horizons certified constant by
-                        # ``SharePolicy.rebalance_horizon``.
-                        planned = calendar.plan_window(
-                            order, idx, i, j, n, cycle, vpn, tkey, walk,
-                            run_streamable, meta, rc, vas_col, sizes_col,
-                            uniform_size, policied, my_quota,
-                            work_conserving, my_busy, others,
-                            policy, horizon,
-                        )
-                        if planned:
-                            (
-                                i, cycle, data_end, total_bytes, stall, sc,
-                                seq, vpn, tkey, j, run_streamable, rc, walk,
-                                levels, cal_m, cal_fresh_pages, cal_stalls,
-                                cal_fresh_stalls,
-                            ) = calendar.drain_window(
-                                order, idx, i, cycle, data_end, total_bytes,
-                                stall, sc, seq, prev_walk,
-                            )
-                            dur = levels * walk_latency
-                            tlb_set = tlb_sets[tkey & tlb_set_mask]
-                            my_walkers = pts_by_vpn.get(tkey)
-                            run_vpn = vpn
-                            run_end = j
-                            stalls_n += cal_stalls - cal_fresh_stalls
-                            walks_n += cal_m - cal_fresh_pages
-                            fresh_stall_n += cal_fresh_stalls
-                            fresh_walk_n += cal_fresh_pages
-                            levels_sum += cal_m * levels
-                            released_n += cal_m
-                            win_fails = 0
-                            break
-                        # Same hysteresis as the stretch planner below:
-                        # declines are pure overhead and bit-identical, so
-                        # a streak of them stops planning for the burst.
-                        win_fails += 1
-                        win_skip = n if win_fails >= 6 else j
-                    elif (
-                        can_plan
-                        and not miss_batch
-                        and horizon == inf
-                        and i >= cal_skip
                     ):
                         planned = calendar.plan_stretch(
                             order, idx, i, j, n, cycle, vpn, tkey, walk,
@@ -2485,15 +2304,12 @@ class TranslationEngine:
         pts_by_vpn = pts._by_vpn
         buffers = pool._buffers
         completion_of = pool._completion_of
-        walk_of = pool._walk_of
-        poisoned = mmu._poisoned_walkers
         prmb_capacity = mmu._prmb_slots
         prmb_occ = pool._prmb_occ
         prmb_total = pool.n_walkers * pool.prmb_slots
         policy = mmu.share_policy
         policy_next_event = policy.next_event_for
-        policy_burn_down = policy.burn_down
-        quota_batch = self._quota_batch
+        prmb_quota_of = policy.prmb_quota
         inf = float("inf")
 
         mem_cfg = memory.config
@@ -2538,8 +2354,6 @@ class TranslationEngine:
         run_streamable = False
 
         i = 0
-        bd_skip = 0  # burn-down plan-failure hysteresis (next run retries)
-        bd_fails = 0  # consecutive burn-down declines (backoff gate)
         while i < n:
             va = va_list[i]
             size = size_list[i]
@@ -2617,130 +2431,13 @@ class TranslationEngine:
                         process(cycle)
                         continue
                     horizon = policy_next_event(asid, cycle)
-                    bd_due = 0
-                    bd_cut = 0.0
-                    if quota_batch and h != inf and i >= bd_skip:
-                        # Quota burn-down over the raw heap: same plan as
-                        # the fused runner's (see ``plan_hits``), except
-                        # the deferred completions retire through the full
-                        # ``process_completions`` — whose PRMB drains and
-                        # path-cache fills also commute with resident-page
-                        # hits — at the stretch's last issue cycle, right
-                        # before the stretch's single MRU bump.
-                        if run_vpn != vpn or i >= run_end:
-                            j, run_streamable, rc = _run_bounds(
-                                va_list, size_list, i, n, vpn, vpn_shift,
-                                meta, rc,
-                            )
-                            run_vpn = vpn
-                            run_end = j
-                        else:
-                            j = run_end
-                        # Batching pays only past a couple of hit/retire
-                        # ping-pongs: require at least three due
-                        # completions inside the stretch (measured on the
-                        # qos_sweep cells, one or two are cheaper
-                        # per-event than a plan scan).  In a binary heap
-                        # the 2nd- and 3rd-smallest readys both live at
-                        # indices 1..6, so "root due plus two more dues
-                        # anywhere in heap[1:7]" is exactly "at least
-                        # three dues".  Gate bounds are float-multiply
-                        # estimates checked before paying the horizon
-                        # division; attempt-or-not is observationally
-                        # identical (per-event fallback), and the plan
-                        # re-checks against the bit-exact replayed bound
-                        # below.
-                        more_due = 0
-                        approx_upper = cycle + (j - i - 1) * interval
-                        if h <= approx_upper:
-                            ln = len(heap)
-                            if ln > 7:
-                                ln = 7
-                            k = 1
-                            while k < ln:
-                                if heap[k][0] <= approx_upper:
-                                    more_due += 1
-                                    if more_due >= 2:
-                                        break
-                                k += 1
-                        if more_due >= 2:
-                            # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
-                            th = (int((horizon - cycle) / interval) - 1
-                                  if horizon != inf else n)
-                            bspan = j - i
-                            if bspan > th:
-                                bspan = th
-                        else:
-                            # Fewer than three dues against the whole
-                            # rest of the run: dues only deplete during a
-                            # hit phase, so stop attempting until the
-                            # next run (one ``i >= bd_skip`` compare per
-                            # segment in the common case).  A streak of
-                            # dry runs writes the burst off entirely
-                            # (same backoff shape as the calendar's
-                            # ``cal_fails``).
-                            bspan = 0
-                            bd_fails += 1
-                            bd_skip = n if bd_fails >= 6 else j
-                        if bspan >= 2:
-                            approx_last = cycle + (bspan - 1) * interval
-                            if h <= approx_last:
-                                # Replayed float adds: the bit-exact issue
-                                # cycle of the stretch's last transaction
-                                # (the plan bound and drain cutoff — later
-                                # dues retire at the next loop top, where
-                                # the per-event path retires them).
-                                last_issue = cycle
-                                for _ in range(bspan - 1):
-                                    last_issue += interval
-                            else:
-                                last_issue = -inf
-                            if h <= last_issue:
-                                due_walks: List[WalkInfo] = []
-                                admissible = True
-                                for entry in heap:
-                                    if entry[0] > last_issue:
-                                        continue
-                                    walker = entry[2]
-                                    if poisoned and walker in poisoned:
-                                        BURN_DOWN.fail_residency += 1
-                                        admissible = False
-                                        break
-                                    due_walk = walk_of[walker]
-                                    if due_walk is None:
-                                        BURN_DOWN.fail_fault += 1
-                                        admissible = False
-                                        break
-                                    due_walks.append(due_walk)
-                                if admissible and not hit_fills_admissible(
-                                    tlb, due_walks
-                                ):
-                                    BURN_DOWN.fail_quota_bound += 1
-                                    admissible = False
-                                if admissible:
-                                    bd_due = len(due_walks)
-                                    bd_cut = last_issue
-                                    bd_fails = 0
-                                else:
-                                    bd_fails += 1
-                                    bd_skip = n if bd_fails >= 6 else j
-                                    BURN_DOWN.fallback_segments += 1
-                        elif more_due >= 2 and j - i >= 2:
-                            # Enough dues to batch, but the policy horizon
-                            # (arbitration turn) lands before a
-                            # two-transaction stretch fits.
-                            BURN_DOWN.fail_arbitration_turn += 1
-                            BURN_DOWN.fallback_segments += 1
-                    if bd_due:
-                        span = bspan
-                    else:
-                        if horizon < h:
-                            h = horizon
-                        # Conservative count of transactions that issue
-                        # strictly before the horizon.
-                        # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
-                        t = int((h - cycle) / interval) - 1 if h != inf else n
-                    if not bd_due and t <= 0:
+                    if horizon < h:
+                        h = horizon
+                    # Conservative count of transactions that issue
+                    # strictly before the horizon.
+                    # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
+                    t = int((h - cycle) / interval) - 1 if h != inf else n
+                    if t <= 0:
                         # Horizon-boundary transaction: exactly one
                         # reference hit, inlined (no completion is due at
                         # *this* cycle — ``h > cycle`` — so the reference
@@ -2765,19 +2462,17 @@ class TranslationEngine:
                         cycle += interval
                         i += 1
                         continue
-                    if not bd_due:
-                        if run_vpn != vpn or i >= run_end:
-                            j, run_streamable, rc = _run_bounds(
-                                va_list, size_list, i, n, vpn, vpn_shift,
-                                meta, rc,
-                            )
-                            run_vpn = vpn
-                            run_end = j
-                        else:
-                            j = run_end
-                        span = j - i
-                        if span > t:
-                            span = t
+                    if run_vpn != vpn or i >= run_end:
+                        j, run_streamable, rc = _run_bounds(
+                            va_list, size_list, i, n, vpn, vpn_shift, meta, rc
+                        )
+                        run_vpn = vpn
+                        run_end = j
+                    else:
+                        j = run_end
+                    span = j - i
+                    if span > t:
+                        span = t
                     closed = False
                     va0 = va_list[i]
                     if (
@@ -2828,22 +2523,14 @@ class TranslationEngine:
                             cycle += interval
                     stats.requests += span
                     stats.tlb_hits += span
-                    if bd_due:
-                        # Fused drain: the deferred completion bucket
-                        # retires just before the stretch's MRU bump.
-                        process(bd_cut)
-                        BURN_DOWN.hit_segments += 1
-                        BURN_DOWN.hit_txns += span
-                        BURN_DOWN.hit_drained += bd_due
                     tlb.touch(vpn, span, asid)
                     i += span
                     continue
 
                 if not prmb_capacity:
-                    # Delegates to the fused FIFO runner, so the mixed-
-                    # window miss planner (``NEUMMU_MISS_BATCH``) is
-                    # reached from both dispatch routes; the PRMB arm
-                    # below has no FIFO stall/retire chain to batch.
+                    # Delegates to the fused FIFO runner (and its
+                    # calendar stretches); the PRMB arm below has no FIFO
+                    # stall/retire chain to batch.
                     (
                         i, cycle, data_end, total_bytes, stall,
                         rc, run_vpn, run_end, run_streamable, handled,
@@ -2878,18 +2565,17 @@ class TranslationEngine:
                 horizon = policy_next_event(asid, cycle)
                 if horizon < h_mine:
                     h_mine = horizon
-                # Merge-quota room as a burn-down span: how many merges
-                # this tenant can park before its PRMB reservation binds
-                # (the built-in policies answer ``prmb_quota`` and
-                # ``quota`` identically; a policy differentiating them
-                # must override ``burn_down`` to match).  ``room`` clamps
-                # at the burst length, which every span bound below
-                # already respects.
-                room = policy_burn_down(
-                    asid, prmb_occ.get(asid, 0), n, prmb_total
-                )
-                if room <= 0:
-                    break
+                # Merge-quota room: how many merges this tenant can park
+                # before its PRMB reservation binds — the same
+                # ``prmb_quota`` the per-event ``WalkerPool.can_merge``
+                # check reads.
+                quota = prmb_quota_of(asid, prmb_total)
+                if quota is None:
+                    room = n
+                else:
+                    room = quota - prmb_occ.get(asid, 0)
+                    if room <= 0:
+                        break
                 if run_vpn != vpn or i >= run_end:
                     j, run_streamable, rc = _run_bounds(
                         va_list, size_list, i, n, vpn, vpn_shift, meta, rc

@@ -175,46 +175,6 @@ class SharePolicy:
         (None = unlimited)."""
         return self.quota(asid, slots)
 
-    # -- closed-form quota burn-down ------------------------------------ #
-
-    def burn_down(
-        self, asid: int, occupancy: int, demand: int, capacity: int
-    ) -> int:
-        """Admitted span: how many of ``demand`` consecutive same-resource
-        acquisitions this tenant can retire, starting from ``occupancy``
-        held units of a ``capacity``-unit structure, before its quota
-        binds.
-
-        This is the vectorized form of the per-event quota check: instead
-        of consulting :meth:`quota` once per transaction, the engine's
-        batched contended path asks for a whole stretch up front (TLB
-        occupancy caps, walker reservations, PRMB merge slots) and only
-        falls back to per-event stepping at the returned boundary.  The
-        answer is a pure function of the weight registry — memoized
-        through the :attr:`version`-validated quota cache, so repeated
-        burn-down queries inside one epoch cost two dict lookups.
-
-        Two deliberate scope limits, handled by the enforcement sites:
-
-        * The admitted span ignores *work-conserving borrowing* — it is
-          the span admitted against this tenant's own reservation alone.
-          A work-conserving policy's caller may extend it with a global
-          free-capacity check (exactly what the TLB fill path and the
-          walker steady-state loop do per event today).
-        * Another tenant's :meth:`next_event_for` horizon is a *time*
-          bound, not an occupancy bound; callers already clamp batched
-          stretches to the horizon before asking for a burn-down.
-
-        The trivial policy admits everything (no quotas to burn down).
-        """
-        quota = self.quota(asid, capacity)
-        if quota is None:
-            return demand
-        room = quota - occupancy
-        if room <= 0:
-            return 0
-        return demand if demand < room else room
-
     # -- event horizon -------------------------------------------------- #
 
     def next_event_for(self, asid: int, cycle: float) -> float:
@@ -233,53 +193,6 @@ class SharePolicy:
         enforcement sites directly and need not be reported here.
         """
         return float("inf")
-
-    # -- closed-form quota trajectory ------------------------------------ #
-
-    def rebalance_horizon(self, asid: int, cycle: float) -> float:
-        """Next cycle at which this tenant's *quota itself* can change.
-
-        Strictly later than (or equal to) :meth:`next_event_for`: the
-        event horizon is conservative — it covers every answer the policy
-        gives, including arbitration-turn bookkeeping that leaves quotas
-        untouched — while the rebalance horizon covers only the admitted
-        quota.  The mixed-window miss-phase planner
-        (:meth:`repro.core.calendar.CompletionCalendar.plan_window`) may
-        therefore batch a window *across* a finite event horizon when the
-        rebalance horizon proves no quota change lands inside it.
-
-        The built-in policies' quotas are pure functions of the tenant
-        registry, and registry mutations are synchronous epoch events
-        (:attr:`version` bumps between bursts), never time events — so
-        they report ``inf``.  A time-varying policy (periodic weight
-        rebalancing, SLO-driven boosts) must override this to its next
-        scheduled quota transition.
-        """
-        return float("inf")
-
-    def admitted_segments(
-        self, asid: int, start: float, end: float, capacity: int
-    ) -> Tuple[Tuple[float, float, Optional[int]], ...]:
-        """Piecewise-constant admitted-quota trajectory over ``[start,
-        end)`` for a ``capacity``-unit structure.
-
-        Each ``(seg_start, seg_end, quota)`` segment certifies the
-        tenant's admitted quota is constant on it — the closed form
-        :meth:`burn_down` answers only pointwise.  Coverage may stop
-        short of ``end``: segments never extend past
-        :meth:`rebalance_horizon`, and a caller finding a gap must fall
-        back to per-event stepping (the planner treats partial coverage
-        as a decline).  The built-in policies are time-invariant, so one
-        segment spans the whole request; a time-varying override must
-        enumerate its planned transitions with their per-segment quotas.
-        """
-        if end <= start:
-            return ()
-        horizon = self.rebalance_horizon(asid, start)
-        stop = end if end < horizon else horizon
-        if stop <= start:
-            return ()
-        return ((start, stop, self.quota(asid, capacity)),)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(tenants={self._weights})"

@@ -53,135 +53,6 @@ def delta(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, float]
 
 
 @dataclass
-class BurnDownTelemetry:
-    """Process-wide quota-burn-down planner telemetry (``--profile``).
-
-    The quota-batched hit phase (``NEUMMU_QUOTA_BATCH``, see
-    :mod:`repro.core.calendar`) either retires a whole hit stretch in
-    closed form or falls back to per-event stepping; these counters say
-    which, and why, so perf ledgers can cite counts instead of cProfile
-    guesses.  Pure observability: nothing on a simulation path ever
-    *reads* these, so they cannot influence results, and they aggregate
-    across every engine in the process (worker processes keep their own —
-    ``--profile`` reports the parent's, like the profiler itself).
-    """
-
-    #: Hit stretches retired in closed form, and the transactions and
-    #: deferred walk completions they covered.
-    hit_segments: int = 0
-    hit_txns: int = 0
-    hit_drained: int = 0
-    #: Hit segments that fell back to per-event stepping, by plan-failure
-    #: reason: a TLB quota/capacity would bind mid-stretch, the burst or
-    #: arbitration turn ends before batching pays, a fault/invalid walk
-    #: sits in the window, or a shootdown poisoned an in-flight walker
-    #: (residency event).
-    fallback_segments: int = 0
-    fail_quota_bound: int = 0
-    fail_arbitration_turn: int = 0
-    fail_fault: int = 0
-    fail_residency: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy of all counters."""
-        return {
-            "hit_segments": self.hit_segments,
-            "hit_txns": self.hit_txns,
-            "hit_drained": self.hit_drained,
-            "fallback_segments": self.fallback_segments,
-            "fail_quota_bound": self.fail_quota_bound,
-            "fail_arbitration_turn": self.fail_arbitration_turn,
-            "fail_fault": self.fail_fault,
-            "fail_residency": self.fail_residency,
-        }
-
-    def reset(self) -> None:
-        """Zero every counter (test isolation)."""
-        self.hit_segments = 0
-        self.hit_txns = 0
-        self.hit_drained = 0
-        self.fallback_segments = 0
-        self.fail_quota_bound = 0
-        self.fail_arbitration_turn = 0
-        self.fail_fault = 0
-        self.fail_residency = 0
-
-
-#: The process-wide aggregate every engine increments (see class docs).
-BURN_DOWN = BurnDownTelemetry()
-
-
-@dataclass
-class MissWindowTelemetry:
-    """Process-wide mixed-window miss-phase planner telemetry
-    (``--profile``).
-
-    The miss-batched window planner (``NEUMMU_MISS_BATCH``, see
-    :meth:`repro.core.calendar.CompletionCalendar.plan_window`) either
-    retires a whole mixed window — TLB fills from foreign in-flight
-    walks interleaved with our own stall/retire/restart chain — in
-    closed form, or falls back to per-event stepping; these counters say
-    which, and *quantitatively* why, so the perf ledger can explain its
-    measured ratios.  Same observability contract as
-    :class:`BurnDownTelemetry`: nothing on a simulation path reads
-    these, worker processes keep their own.
-    """
-
-    #: Windows retired in closed form, the transactions they covered,
-    #: and the foreign in-flight walks absorbed into them.
-    windows_planned: int = 0
-    window_txns: int = 0
-    window_foreign: int = 0
-    #: Windows planned under a quota-trajectory proof (the region the
-    #: stretch planner's pointwise gate declines outright).
-    window_quota_proofs: int = 0
-    #: Windows that fell back to per-event stepping, by reason: the
-    #: closed-form quota trajectory binds before the minimum profitable
-    #: stretch, the policy's admitted-segment coverage stops short of
-    #: the window (or changes quota inside it), or the delegated
-    #: arithmetic/channel/page-scan validation declined.
-    fallback_windows: int = 0
-    fail_quota_bound: int = 0
-    fail_rebalance: int = 0
-    fail_plan: int = 0
-    #: Sum of quota-feasible prefix lengths (in transactions) over the
-    #: ``fail_quota_bound`` declines — dividing by that count says how
-    #: far, on average, the trajectory ran before a tenant's reservation
-    #: bound it (the ledger's "why parity" number).
-    quota_prefix_txns: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy of all counters."""
-        return {
-            "windows_planned": self.windows_planned,
-            "window_txns": self.window_txns,
-            "window_foreign": self.window_foreign,
-            "window_quota_proofs": self.window_quota_proofs,
-            "fallback_windows": self.fallback_windows,
-            "fail_quota_bound": self.fail_quota_bound,
-            "fail_rebalance": self.fail_rebalance,
-            "fail_plan": self.fail_plan,
-            "quota_prefix_txns": self.quota_prefix_txns,
-        }
-
-    def reset(self) -> None:
-        """Zero every counter (test isolation)."""
-        self.windows_planned = 0
-        self.window_txns = 0
-        self.window_foreign = 0
-        self.window_quota_proofs = 0
-        self.fallback_windows = 0
-        self.fail_quota_bound = 0
-        self.fail_rebalance = 0
-        self.fail_plan = 0
-        self.quota_prefix_txns = 0
-
-
-#: The process-wide aggregate every engine increments (see class docs).
-MISS_WINDOW = MissWindowTelemetry()
-
-
-@dataclass
 class RunSummary:
     """Flattened view across MMU, walker pool, TLB and TPreg counters.
 

@@ -177,7 +177,7 @@ class _DrainSpy:
 
         def wrapped(cal, *args, **kwargs):
             spy.drains.append(
-                (cal._plan_m, len(cal._plan_window_walks))
+                (cal._plan_m, len(cal._plan_inflight_walks))
             )
             return original(cal, *args, **kwargs)
 

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import TranslationEngine
@@ -33,6 +33,7 @@ from repro.core.mmu import (
     baseline_iommu_config,
     neummu_config,
 )
+from repro.core.qos import ARBITRATION_POLICIES, SHARE_POLICIES, WeightedShare
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.memory.dram import MainMemory
 from repro.memory.page_table import PageTable
@@ -96,6 +97,64 @@ _schedule = st.lists(
 )
 
 _qos = st.sampled_from(["full_share", "static_partition", "weighted"])
+
+#: Saturated miss storm: (start page, page count, txns per page).  The
+#: 1-per-page arms chain fresh pages that keep every walker in flight, so
+#: the blocked issue port runs the FIFO stall/retire/restart chain; the
+#: 16- and 200-per-page arms hold hit runs open while walks come due.
+_storm_segment = st.tuples(
+    st.integers(0, N_PAGES - 48),
+    st.integers(1, 48),
+    st.sampled_from([1, 1, 1, 2, 16, 200]),
+)
+
+
+def _storm_triples(chunks):
+    """Storm chunks -> (page, slot, size) triples; an int is a fault page."""
+    triples = []
+    for chunk in chunks:
+        if isinstance(chunk, int):
+            triples.append((-chunk, 0, 256))
+            continue
+        start, pages, per_page = chunk
+        # Cap a chunk near 600 transactions: the reference leg is the
+        # per-object path, and long hit runs need only a few pages.
+        pages = min(pages, max(1, 600 // per_page))
+        for p in range(start, start + pages):
+            triples.extend((p, (p + k) % 15, 256) for k in range(per_page))
+    return triples
+
+
+_storm_burst = st.lists(
+    st.one_of(_storm_segment, st.integers(1, 6)), min_size=1, max_size=6
+).map(_storm_triples)
+
+_storm_schedule = st.lists(
+    st.tuples(st.sampled_from([0, 5, 9]), _storm_burst),
+    min_size=1,
+    max_size=4,
+)
+
+
+class PrmbQuotaOneShare(WeightedShare):
+    """Weighted share that caps only the PRMB: one parked merge per tenant,
+    while TLB and walker quotas keep the weighted answers."""
+
+    def prmb_quota(self, asid, total_slots):
+        return 1
+
+
+class PeriodicEventShare(WeightedShare):
+    """Weighted share with a finite event horizon every ``period`` cycles
+    but constant quotas: bulk segments must stop and re-consult the
+    policy at each boundary."""
+
+    def __init__(self, period=4096.0, weights=None):
+        super().__init__(weights)
+        self._period = float(period)
+
+    def next_event_for(self, asid, cycle):
+        return (cycle // self._period + 1.0) * self._period
 
 
 def materialize(burst):
@@ -175,15 +234,24 @@ class TestColumnarRepresentation:
 # --------------------------------------------------------------------- #
 
 
-def run_mode(mode, config, qos, schedule, page_size, evict=False):
+def run_mode(
+    mode, config, qos, schedule, page_size, evict=False, epoch_ops=None,
+    policy_factory=None,
+):
     """One full multi-ASID run in ``mode``; returns comparable state.
 
     With ``evict`` the fault handler also unmaps and shoots down one
     other mapped page per fault, preferring a page with a walk in
-    flight, so faults poison in-flight walks mid-burst.
+    flight, so faults poison in-flight walks mid-burst.  ``epoch_ops``
+    maps a schedule index to a mutation applied after that burst:
+    ``("weight", asid, w)`` re-weights a tenant (a ``SharePolicy.version``
+    bump), ``("remove", asid)`` destroys its context (poisoning its
+    in-flight walks; later bursts of that ASID are skipped).
+    ``policy_factory`` builds a fresh custom share policy per run.
     """
     cfg = replace(config, engine_mode=mode, qos=qos, page_size=page_size)
-    mmu = MMU(cfg, None)
+    policy = policy_factory() if policy_factory is not None else None
+    mmu = MMU(cfg, None, share_policy=policy)
     tables = {
         0: build_table(first_pfn=10),
         5: build_table(first_pfn=500_000),
@@ -227,12 +295,20 @@ def run_mode(mode, config, qos, schedule, page_size, evict=False):
             mmu.shootdown(victims[0], asid)
 
     engine.fault_handler = demand_map
+    removed = set()
     results = []
     for i, (asid, burst) in enumerate(schedule):
-        txs = materialize(burst)
-        if mode == "columnar":
-            txs = ColumnarTransactionStream.from_pairs(txs, page_size)
-        results.append(engine.run_burst(txs, float(i * 7), asid))
+        if asid not in removed:
+            txs = materialize(burst)
+            if mode == "columnar":
+                txs = ColumnarTransactionStream.from_pairs(txs, page_size)
+            results.append(engine.run_burst(txs, float(i * 7), asid))
+        op = (epoch_ops or {}).get(i)
+        if op and op[0] == "weight":
+            mmu.share_policy.set_weight(op[1], op[2])
+        elif op:
+            mmu.destroy_context(op[1])
+            removed.add(op[1])
     mmu.drain()
     state = {
         "results": results,
@@ -294,6 +370,64 @@ class TestEngineDifferential:
                 if n_faulting:
                     assert columnar["summary"].faults > 0
 
+    @pytest.mark.parametrize(
+        "config", FUZZ_CONFIGS, ids=lambda c: c.name
+    )
+    @given(schedule=_storm_schedule, qos=_qos)
+    @settings(max_examples=15, deadline=None)
+    def test_miss_storms_match(self, config, schedule, qos):
+        """Saturated fresh-page storms with interleaved hit runs and
+        mid-storm faults: the calendar stretches and the quota-regime
+        stall/retire chains must retire bit-identically."""
+        columnar = run_mode("columnar", config, qos, schedule, PAGE_SIZE_4K)
+        reference = run_mode("reference", config, qos, schedule, PAGE_SIZE_4K)
+        assert columnar == reference
+
+    @given(schedule=_storm_schedule, qos=_qos)
+    @settings(max_examples=10, deadline=None)
+    def test_epoch_bumps(self, schedule, qos):
+        """Re-weight ASID 5 after the first burst and remove ASID 9 after
+        the second: quota memos must follow the version bump, and the
+        poisoned in-flight walks must retire without filling the TLB."""
+        ops = {0: ("weight", 5, 3.0), 1: ("remove", 9)}
+        for config in (baseline_iommu_config(), FUZZ_CONFIGS[2]):
+            columnar = run_mode(
+                "columnar", config, qos, schedule, PAGE_SIZE_4K,
+                epoch_ops=ops,
+            )
+            reference = run_mode(
+                "reference", config, qos, schedule, PAGE_SIZE_4K,
+                epoch_ops=ops,
+            )
+            assert columnar == reference, config.name
+
+    @pytest.mark.parametrize(
+        "factory", [PrmbQuotaOneShare, PeriodicEventShare],
+        ids=["prmb_quota_only", "periodic_event"],
+    )
+    @pytest.mark.parametrize(
+        "config", FUZZ_CONFIGS, ids=lambda c: c.name
+    )
+    @given(schedule=_storm_schedule)
+    # Three sub-page transactions to one page: under PrmbQuotaOneShare
+    # only the second may merge, in the columnar bulk-merge segment as in
+    # the per-event ``WalkerPool.can_merge`` check.
+    @example(schedule=[(0, [(0, 0, 64), (0, 1, 64), (0, 2, 64)])])
+    @settings(max_examples=10, deadline=None)
+    def test_custom_policies_match(self, factory, config, schedule):
+        """Custom policies reach the quota and horizon checks the built-in
+        ones never differentiate: a PRMB-only cap and a finite event
+        horizon with constant quotas."""
+        columnar = run_mode(
+            "columnar", config, "weighted", schedule, PAGE_SIZE_4K,
+            policy_factory=factory,
+        )
+        reference = run_mode(
+            "reference", config, "weighted", schedule, PAGE_SIZE_4K,
+            policy_factory=factory,
+        )
+        assert columnar == reference
+
     def test_faulting_iommu_burst_skips_translate(self):
         """The fused FIFO runner handles faults itself: a faulting
         baseline-IOMMU burst never dispatches through MMU.translate."""
@@ -323,6 +457,43 @@ class TestEngineDifferential:
         engine.run_burst(txs, 0.0)
         assert len(faults) == 3 and mmu.stats.faults == 3
         assert calls == []
+
+
+# --------------------------------------------------------------------- #
+# multi-tenant: share policy x arbitration, columnar vs reference
+# --------------------------------------------------------------------- #
+
+
+def _tenant_cell(qos, arbitration, mode):
+    from repro.npu.simulator import run_multi_tenant
+    from repro.workloads.registry import DenseWorkloadFactory
+
+    return run_multi_tenant(
+        DenseWorkloadFactory("RNN-2", 1),
+        replace(baseline_iommu_config(), engine_mode=mode),
+        2,
+        arbitration=arbitration,
+        qos=qos,
+        weights=(2.0, 1.0),
+    )
+
+
+class TestTenantCombos:
+    def test_contended_cell_identical(self):
+        """Fast tier: the deepest quota regime on the baseline IOMMU."""
+        columnar = _tenant_cell("static_partition", "round_robin", "columnar")
+        reference = _tenant_cell(
+            "static_partition", "round_robin", "reference"
+        )
+        assert columnar == reference
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("qos", SHARE_POLICIES)
+    @pytest.mark.parametrize("arbitration", ARBITRATION_POLICIES)
+    def test_all_nine_combos_identical(self, qos, arbitration):
+        columnar = _tenant_cell(qos, arbitration, "columnar")
+        reference = _tenant_cell(qos, arbitration, "reference")
+        assert columnar == reference
 
 
 # --------------------------------------------------------------------- #

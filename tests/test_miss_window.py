@@ -1,522 +1,80 @@
-"""Differential fuzz: mixed-window miss-phase batching vs per-event stepping.
+"""Quota regimes in the miss phase: columnar engine mode vs the reference.
 
-The mixed-window planner (:meth:`repro.core.calendar.CompletionCalendar.
-plan_window` / :meth:`~repro.core.calendar.CompletionCalendar.drain_window`,
-reached from both engine dispatch routes through the fused no-PRMB runner)
-retires whole miss-phase windows in closed form, including windows the
-stretch planner's pointwise quota gate declines (mixed over-quota windows,
-proven by the closed-form quota trajectory) and windows spanning a finite
-policy event horizon (proven constant by
-:meth:`~repro.core.qos.SharePolicy.rebalance_horizon` /
-:meth:`~repro.core.qos.SharePolicy.admitted_segments`).
-``NEUMMU_MISS_BATCH=0`` forces the per-event stall/retire chain it
-replaces.  Both modes must be *bit-identical*: same burst results, same
-``RunSummary``, same channel state, same TLB contents in LRU order, same
-PTS map, same per-ASID occupancy — across multi-ASID bursts, every QoS
-policy × arbitration combo, mid-window faults, re-weight/remove epoch
-bumps, both no-PRMB and PRMB configs, and custom time-varying policies.
-
-Coverage is asserted, not hoped for: deterministic cases check via the
-:data:`repro.core.stats.MISS_WINDOW` telemetry that batched window drains
-actually fired on both dispatch routes, that finite-horizon spanning
-actually planned windows, and that the quota-trajectory decline paths are
-actually exercised.
+Saturated fresh-page storms keep every walker in flight, so the blocked
+issue port runs the stall/retire/restart chain while quotas bind.  Both
+engine modes step it per event and must stay *bit-identical*: same burst
+results, ``RunSummary``, channel state, TLB contents in LRU order, PTS
+counters and per-ASID occupancy.  This file drives the storms under a
+policy with a finite event horizon plus between-burst policy mutations,
+and multi-tenant runs on the paper's NeuMMU design point, reusing the
+``run_mode`` harness of ``test_columnar.py``.
 """
 
-import os
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.engine import TranslationEngine
-from repro.core.mmu import MMU, MMUConfig, baseline_iommu_config
-from repro.core.qos import (
-    ARBITRATION_POLICIES,
-    SHARE_POLICIES,
-    SharePolicy,
-    WeightedShare,
-)
-from repro.core.stats import MISS_WINDOW
+from repro.core.mmu import baseline_iommu_config, neummu_config
+from repro.core.qos import ARBITRATION_POLICIES, SHARE_POLICIES
 from repro.memory.address import PAGE_SIZE_4K
-from repro.memory.dram import MainMemory
-from repro.memory.page_table import PageTable
-from repro.npu.dma import ColumnarTransactionStream
 
-BASE = 0x7F00_0000_0000
-N_PAGES = 256
-#: Disjoint never-mapped region used for mid-window fault injection.
-FAULT_BASE = BASE + (1 << 40)
-
-#: Design points spanning both engine dispatch routes to the fused FIFO
-#: runner (the paper's no-PRMB 8-walker IOMMU) plus a PRMB pool whose
-#: merge-based miss phase must stay untouched by the window planner.
-MW_CONFIGS = [
-    baseline_iommu_config(),
-    MMUConfig(name="prmb4", n_walkers=8, prmb_slots=4),
-]
-
-
-def build_table(first_pfn=10):
-    table = PageTable()
-    table.map_range(BASE, N_PAGES * PAGE_SIZE_4K, first_pfn=first_pfn)
-    return table
-
-
-# --------------------------------------------------------------------- #
-# custom policies: the quota-trajectory API's non-default regions
-# --------------------------------------------------------------------- #
-
-
-class PeriodicEventShare(WeightedShare):
-    """Weighted share whose *event* horizon ticks every ``period`` cycles
-    but whose quotas never change: ``next_event_for`` is finite (the
-    per-event runner exits its closure and replays one reference step at
-    every boundary) while the inherited ``rebalance_horizon`` stays
-    ``inf`` and ``admitted_segments`` covers any request — so the window
-    planner may batch straight across the event horizon.
-    """
-
-    def __init__(
-        self, period: float, weights: Optional[Dict[int, float]] = None
-    ) -> None:
-        super().__init__(weights)
-        self._period = float(period)
-
-    def next_event_for(self, asid: int, cycle: float) -> float:
-        return (cycle // self._period + 1.0) * self._period
-
-
-class SegmentedConstantShare(PeriodicEventShare):
-    """Finite rebalance horizon, but the quota is certified constant
-    across it: ``admitted_segments`` enumerates period-aligned segments
-    that all answer the same quota, so coverage reaches any requested
-    ``end`` and the planner's constancy walk must accept multi-segment
-    trajectories.
-    """
-
-    def rebalance_horizon(self, asid: int, cycle: float) -> float:
-        return (cycle // self._period + 1.0) * self._period
-
-    def admitted_segments(
-        self, asid: int, start: float, end: float, capacity: int
-    ) -> Tuple[Tuple[float, float, Optional[int]], ...]:
-        if end <= start:
-            return ()
-        quota = self.quota(asid, capacity)
-        period = self._period
-        segs = []
-        t = start
-        while t < end and len(segs) < 1024:
-            nxt = (t // period + 1.0) * period
-            if nxt > end:
-                nxt = end
-            segs.append((t, nxt, quota))
-            t = nxt
-        return tuple(segs)
-
-
-class OpaqueRebalanceShare(PeriodicEventShare):
-    """Finite rebalance horizon with only the *default* (horizon-clipped)
-    segment coverage: the planner cannot certify quota constancy past the
-    horizon and must decline every window reaching it
-    (``MISS_WINDOW.fail_rebalance``), falling back to the per-event path.
-    """
-
-    def rebalance_horizon(self, asid: int, cycle: float) -> float:
-        return (cycle // self._period + 1.0) * self._period
-
-
-# --------------------------------------------------------------------- #
-# strategies: saturated miss storms — long fresh-page chains keep all
-# eight walkers in flight, so the blocked issue port sits in exactly the
-# stall/retire/restart chain the window planner retires in closed form
-# --------------------------------------------------------------------- #
-
-#: One streaming segment: (start page, page count, txns per page).  The
-#: 1-per-page arms build the saturated fresh-page chains (the miss
-#: phase); the heavier arms interleave resident hit runs so windows abut
-#: TLB flips and policy re-consultations.
-_segment = st.tuples(
-    st.integers(0, N_PAGES - 48),
-    st.integers(1, 48),
-    st.sampled_from([1, 1, 1, 2, 16, 200]),
-)
-
-#: A mid-window faulting page (never mapped until the handler maps it).
-_fault = st.integers(1, 6)
-
-_chunk = st.one_of(_segment, _fault)
-
-_burst = st.lists(_chunk, min_size=1, max_size=6)
-
-#: Schedules interleave up to three address spaces (ASIDs 0, 5, 9).
-_schedule = st.lists(
-    st.tuples(st.sampled_from([0, 5, 9]), _burst), min_size=1, max_size=4
-)
-
-_qos = st.sampled_from(SHARE_POLICIES)
-
-
-def materialize(burst):
-    """Chunks -> (va, size) transactions (streaming 256 B runs)."""
-    txs = []
-    for chunk in burst:
-        if isinstance(chunk, int):  # fault page
-            txs.append((FAULT_BASE + chunk * PAGE_SIZE_4K, 256))
-            continue
-        start, pages, per_page = chunk
-        pages = min(pages, N_PAGES - start)
-        for p in range(start, start + pages):
-            base = BASE + p * PAGE_SIZE_4K
-            txs.extend(
-                (base + ((p + k) % 16) * 256, 256) for k in range(per_page)
-            )
-    return txs
-
-
-# --------------------------------------------------------------------- #
-# harness
-# --------------------------------------------------------------------- #
-
-
-def run_miss_mode(
-    batch_on, config, qos, schedule, epoch_ops=None, policy_factory=None
-):
-    """One multi-ASID columnar run with NEUMMU_MISS_BATCH pinned.
-
-    ``epoch_ops`` maps a schedule index to a policy mutation applied
-    *after* that burst (same vocabulary as the quota-batch fuzz);
-    ``policy_factory`` builds a fresh custom :class:`SharePolicy` per run
-    so the on/off legs never share mutated policy state.
-    """
-    before = os.environ.get("NEUMMU_MISS_BATCH")
-    os.environ["NEUMMU_MISS_BATCH"] = "1" if batch_on else "0"
-    try:
-        cfg = replace(config, engine_mode="columnar", qos=qos)
-        policy = policy_factory() if policy_factory is not None else None
-        mmu = MMU(cfg, None, share_policy=policy)
-        tables = {
-            0: build_table(first_pfn=10),
-            5: build_table(first_pfn=500_000),
-            9: build_table(first_pfn=900_000),
-        }
-        mmu.register_context(0, tables[0], weight=2.0)
-        mmu.register_context(5, tables[5], weight=1.0)
-        mmu.register_context(9, tables[9], weight=1.5)
-        memory = MainMemory()
-        engine = TranslationEngine(mmu, memory)
-
-        def demand_map(vpn, cycle, asid):
-            tables[asid].map_range(
-                vpn << 12, PAGE_SIZE_4K,
-                first_pfn=2_000_000 + (vpn & 0xFFFF) * 8 + asid,
-            )
-            mmu.shootdown(vpn, asid)
-            return cycle + 2500.0
-
-        engine.fault_handler = demand_map
-        removed = set()
-        results = []
-        for i, (asid, burst) in enumerate(schedule):
-            if asid not in removed:
-                txs = ColumnarTransactionStream.from_pairs(
-                    materialize(burst), PAGE_SIZE_4K
-                )
-                results.append(engine.run_burst(txs, float(i * 7), asid))
-            op = (epoch_ops or {}).get(i)
-            if op is not None:
-                if op[0] == "weight":
-                    mmu.share_policy.set_weight(op[1], op[2])
-                else:
-                    mmu.destroy_context(op[1])
-                    removed.add(op[1])
-        mmu.drain()
-        state = {
-            "results": results,
-            "summary": mmu.summary(),
-            "channels": tuple(memory._channel_free),
-            "mem": (memory.total_bytes, memory.total_accesses),
-            "pts": (mmu.pts.lookups, mmu.pts.hits, mmu.pts.in_flight),
-            "tlb_sets": [list(s.items()) for s in mmu.tlb._sets],
-            "occupancy": dict(mmu.tlb._asid_occupancy),
-        }
-        return state
-    finally:
-        if before is None:
-            os.environ.pop("NEUMMU_MISS_BATCH", None)
-        else:
-            os.environ["NEUMMU_MISS_BATCH"] = before
-
-
-def assert_modes_identical(
-    config, qos, schedule, epoch_ops=None, policy_factory=None
-):
-    on = run_miss_mode(
-        True, config, qos, schedule, epoch_ops, policy_factory
-    )
-    off = run_miss_mode(
-        False, config, qos, schedule, epoch_ops, policy_factory
-    )
-    assert on == off
-
-
-# --------------------------------------------------------------------- #
-# engine-level differential fuzz
-# --------------------------------------------------------------------- #
+from test_columnar import PeriodicEventShare, _storm_schedule, run_mode
 
 
 class TestMissWindowDifferential:
-    @pytest.mark.parametrize("config", MW_CONFIGS, ids=lambda c: c.name)
-    @given(schedule=_schedule, qos=_qos)
-    @settings(max_examples=20, deadline=None)
-    def test_batched_matches_per_event(self, config, schedule, qos):
-        assert_modes_identical(config, qos, schedule)
-
-    @given(schedule=_schedule)
+    @given(schedule=_storm_schedule)
     @settings(max_examples=10, deadline=None)
-    def test_mid_window_faults(self, schedule):
-        """Every burst gets a guaranteed mid-window fault injected."""
-        faulted = [
-            (asid, burst[: len(burst) // 2] + [3] + burst[len(burst) // 2:])
-            for asid, burst in schedule
-        ]
-        assert_modes_identical(
-            baseline_iommu_config(), "static_partition", faulted
-        )
-
-    @given(schedule=_schedule, qos=_qos)
-    @settings(max_examples=10, deadline=None)
-    def test_epoch_bumps(self, schedule, qos):
-        """Re-weight after the first burst, remove ASID 9 after the second.
-
-        ``set_weight`` bumps ``SharePolicy.version`` (the synchronous
-        rebalance events the built-ins' ``rebalance_horizon = inf``
-        contract rests on); ``destroy_context`` poisons in-flight walks,
-        which must keep the window planner out entirely.
-        """
+    def test_epoch_bumps(self, schedule):
+        """Re-weight ASID 5 after the first burst, remove ASID 9 after the
+        second, under a policy whose event horizon ticks every 4096
+        cycles: storms must stop at each boundary and after each
+        ``SharePolicy.version`` bump, in both modes alike."""
         ops = {0: ("weight", 5, 3.0), 1: ("remove", 9)}
-        assert_modes_identical(
-            baseline_iommu_config(), qos, schedule, epoch_ops=ops
-        )
-
-    @given(schedule=_schedule)
-    @settings(max_examples=10, deadline=None)
-    def test_finite_event_horizon_spanning(self, schedule):
-        """Custom policy with a finite event horizon but constant quotas:
-        the per-event leg exits its closure at every period boundary
-        while the batched leg spans them — results must stay identical.
-        """
-        assert_modes_identical(
-            baseline_iommu_config(), "weighted", schedule,
-            policy_factory=lambda: PeriodicEventShare(4096.0),
-        )
-
-    @given(schedule=_schedule)
-    @settings(max_examples=10, deadline=None)
-    def test_segmented_constant_trajectory(self, schedule):
-        """Finite rebalance horizon certified constant segment by
-        segment: the planner's multi-segment constancy walk must accept
-        exactly what the per-event path would have done anyway.
-        """
-        assert_modes_identical(
-            baseline_iommu_config(), "weighted", schedule,
-            policy_factory=lambda: SegmentedConstantShare(4096.0),
-        )
-
-    @given(schedule=_schedule)
-    @settings(max_examples=10, deadline=None)
-    def test_opaque_rebalance_declines(self, schedule):
-        """Default (horizon-clipped) segment coverage: every window
-        reaching the horizon must decline to the per-event path."""
-        assert_modes_identical(
-            baseline_iommu_config(), "weighted", schedule,
-            policy_factory=lambda: OpaqueRebalanceShare(4096.0),
-        )
+        for config in (baseline_iommu_config(), neummu_config()):
+            columnar = run_mode(
+                "columnar", config, "weighted", schedule, PAGE_SIZE_4K,
+                epoch_ops=ops, policy_factory=PeriodicEventShare,
+            )
+            reference = run_mode(
+                "reference", config, "weighted", schedule, PAGE_SIZE_4K,
+                epoch_ops=ops, policy_factory=PeriodicEventShare,
+            )
+            assert columnar == reference, config.name
 
 
 # --------------------------------------------------------------------- #
-# deterministic engagement coverage: the window planner must actually
-# fire — and decline for the reasons the ledger cites
-# --------------------------------------------------------------------- #
-
-#: Saturated miss storms: long fresh-page chains (1 txn per page) hold
-#: all eight walkers in flight so the blocked issue port runs the FIFO
-#: stall/retire/restart chain for hundreds of consecutive transactions.
-_ENGAGE = [
-    (0, [(0, 48, 1), (48, 48, 1), (96, 48, 1), (144, 48, 1)]),
-    (0, [(0, 48, 1), (48, 48, 1), (96, 48, 1), (144, 48, 1)]),
-]
-
-#: The same storms from two tenants: under quota policies the windows
-#: mix in-flight walks across tenants, exercising the quota-trajectory
-#: decline accounting (``fail_quota_bound``/``quota_prefix_txns``).
-_ENGAGE_MIXED = [
-    (0, [(0, 48, 1), (48, 48, 1), (96, 48, 1)]),
-    (5, [(0, 48, 1), (48, 48, 1), (96, 48, 1)]),
-    (0, [(96, 48, 1), (144, 48, 1), (192, 48, 1)]),
-    (5, [(96, 48, 1), (144, 48, 1), (192, 48, 1)]),
-]
-
-
-class TestWindowEngages:
-    # full_share routes bursts through the batched dispatch; a
-    # work-conserving weighted policy routes them through the contended
-    # dispatch.  Both delegate their no-PRMB miss phases to the fused
-    # FIFO runner, where the window planner lives.
-    @pytest.mark.parametrize(
-        "qos", ["full_share", "weighted"], ids=["fused", "contended"]
-    )
-    def test_window_drains_fire(self, qos):
-        MISS_WINDOW.reset()
-        state = run_miss_mode(True, baseline_iommu_config(), qos, _ENGAGE)
-        engaged = MISS_WINDOW.snapshot()
-        assert engaged["windows_planned"] > 0, engaged
-        assert engaged["window_txns"] >= 12 * engaged["windows_planned"]
-        MISS_WINDOW.reset()
-        assert state == run_miss_mode(
-            False, baseline_iommu_config(), qos, _ENGAGE
-        )
-        # The per-event mode must never touch the planner.
-        assert MISS_WINDOW.snapshot()["windows_planned"] == 0
-
-    def test_quota_trajectory_accounting(self):
-        """Mixed over-quota windows under a quota policy: the trajectory
-        either proves a prefix or records how quickly the quota bound it
-        — the ledger's "why parity" evidence must actually accumulate.
-        """
-        MISS_WINDOW.reset()
-        state = run_miss_mode(
-            True, baseline_iommu_config(), "weighted", _ENGAGE_MIXED
-        )
-        engaged = MISS_WINDOW.snapshot()
-        assert engaged["windows_planned"] > 0, engaged
-        attempts = engaged["fail_quota_bound"] + engaged["window_quota_proofs"]
-        assert attempts > 0, engaged
-        MISS_WINDOW.reset()
-        assert state == run_miss_mode(
-            False, baseline_iommu_config(), "weighted", _ENGAGE_MIXED
-        )
-
-    def test_horizon_spanning_engages(self):
-        """The finite-horizon policy must not lock the planner out: with
-        constant certified quotas the batched leg still plans windows
-        (the whole point of ``rebalance_horizon``), and the opaque
-        variant declines them with ``fail_rebalance`` accounting.
-        """
-        MISS_WINDOW.reset()
-        run_miss_mode(
-            True, baseline_iommu_config(), "weighted", _ENGAGE,
-            policy_factory=lambda: PeriodicEventShare(4096.0),
-        )
-        spanning = MISS_WINDOW.snapshot()
-        assert spanning["windows_planned"] > 0, spanning
-        MISS_WINDOW.reset()
-        run_miss_mode(
-            True, baseline_iommu_config(), "weighted", _ENGAGE,
-            policy_factory=lambda: OpaqueRebalanceShare(4096.0),
-        )
-        opaque = MISS_WINDOW.snapshot()
-        assert opaque["fail_rebalance"] > 0, opaque
-
-
-# --------------------------------------------------------------------- #
-# multi-tenant: all 9 QoS policy × arbitration combos
+# multi-tenant: share policy x arbitration on NeuMMU
 # --------------------------------------------------------------------- #
 
 
-def _tenant_cell(qos, arbitration, batch_on):
+def _tenant_cell(qos, arbitration, mode):
     from repro.npu.simulator import run_multi_tenant
     from repro.workloads.registry import DenseWorkloadFactory
 
-    before = os.environ.get("NEUMMU_MISS_BATCH")
-    os.environ["NEUMMU_MISS_BATCH"] = "1" if batch_on else "0"
-    try:
-        return run_multi_tenant(
-            DenseWorkloadFactory("RNN-2", 1),
-            baseline_iommu_config(),
-            2,
-            arbitration=arbitration,
-            qos=qos,
-            weights=(2.0, 1.0),
-        )
-    finally:
-        if before is None:
-            os.environ.pop("NEUMMU_MISS_BATCH", None)
-        else:
-            os.environ["NEUMMU_MISS_BATCH"] = before
+    return run_multi_tenant(
+        DenseWorkloadFactory("RNN-2", 1),
+        replace(neummu_config(), engine_mode=mode),
+        2,
+        arbitration=arbitration,
+        qos=qos,
+        weights=(2.0, 1.0),
+    )
 
 
 class TestTenantCombos:
     def test_contended_cell_identical(self):
-        """Fast tier: the deepest quota regime, batch on vs off."""
-        on = _tenant_cell("static_partition", "round_robin", True)
-        off = _tenant_cell("static_partition", "round_robin", False)
-        assert on == off
+        """Fast tier: the deepest quota regime on NeuMMU."""
+        columnar = _tenant_cell("static_partition", "round_robin", "columnar")
+        reference = _tenant_cell(
+            "static_partition", "round_robin", "reference"
+        )
+        assert columnar == reference
 
     @pytest.mark.slow
     @pytest.mark.parametrize("qos", SHARE_POLICIES)
     @pytest.mark.parametrize("arbitration", ARBITRATION_POLICIES)
     def test_all_nine_combos_identical(self, qos, arbitration):
-        on = _tenant_cell(qos, arbitration, True)
-        off = _tenant_cell(qos, arbitration, False)
-        assert on == off
-
-
-# --------------------------------------------------------------------- #
-# golden diff: paper figures bit-identical across miss-batch modes
-# --------------------------------------------------------------------- #
-
-
-def _figure_in_mode(batch_on, experiment):
-    before = os.environ.get("NEUMMU_MISS_BATCH")
-    os.environ["NEUMMU_MISS_BATCH"] = "1" if batch_on else "0"
-    try:
-        return experiment()
-    finally:
-        if before is None:
-            os.environ.pop("NEUMMU_MISS_BATCH", None)
-        else:
-            os.environ["NEUMMU_MISS_BATCH"] = before
-
-
-def _golden_diff(experiment):
-    on = _figure_in_mode(True, experiment)
-    off = _figure_in_mode(False, experiment)
-    assert on.figure_id == off.figure_id
-    assert on.columns == off.columns
-    assert [r.label for r in on.rows] == [r.label for r in off.rows]
-    for mine, theirs in zip(on.rows, off.rows):
-        # Exact equality on purpose: the modes must agree bit for bit.
-        assert mine.values == theirs.values, mine.label
-    assert on.render() == off.render()
-
-
-class TestGoldenFigures:
-    def test_fig7_bursts(self):
-        from repro.analysis import fig7_translation_bursts
-
-        _golden_diff(
-            lambda: fig7_translation_bursts(workloads=("RNN-1",), batch=1)
-        )
-
-    def test_fairness_contended(self):
-        # The contended QoS figure: its quota cells are where the window
-        # planner's trajectory proofs and declines both concentrate.
-        from repro.analysis import fairness
-
-        _golden_diff(lambda: fairness(workload="RNN-2", batch=1))
-
-    @pytest.mark.slow
-    def test_fig8_baseline_iommu(self):
-        # The saturated baseline-IOMMU regime: the miss storms whose
-        # windows the planner retires wholesale.
-        from repro.analysis import ExperimentRunner, fig8_baseline_iommu
-
-        _golden_diff(
-            lambda: fig8_baseline_iommu(
-                batches=(1,), runner=ExperimentRunner()
-            )
-        )
+        columnar = _tenant_cell(qos, arbitration, "columnar")
+        reference = _tenant_cell(qos, arbitration, "reference")
+        assert columnar == reference

@@ -1,297 +1,106 @@
-"""Differential fuzz: quota burn-down hit batching vs per-event stepping.
+"""Quota regimes in the hit phase: columnar engine mode vs the reference.
 
-The quota burn-down planner (:mod:`repro.core.calendar`,
-``plan_hits``/``drain_hits``, plus the contended path's inline plan in
-:mod:`repro.core.engine`) retires whole TLB-hit stretches in closed form,
-deferring the walker completions due inside them; ``NEUMMU_QUOTA_BATCH=0``
-forces the per-event hit/retire ping-pong it replaces.  Both modes must be
-*bit-identical*: same burst results, same ``RunSummary``, same channel
-state, same TLB contents in LRU order, same PTS map, same per-ASID
-occupancy — across multi-ASID bursts, every QoS policy × arbitration
-combo, mid-segment faults, ``remove_tenant``/re-weight epoch bumps, and
-both no-PRMB (fused runner) and PRMB (contended runner) configs.
-
-Coverage is asserted, not hoped for: deterministic cases check via the
-:data:`repro.core.stats.BURN_DOWN` telemetry that batched drains actually
-fired on both runner paths.
+Under a partitioning or weighted share policy, long TLB-hit runs retire
+while a tenant's walks come due and its quota binds.  Both engine modes
+step these regimes per event and must stay *bit-identical*: same burst
+results, ``RunSummary``, channel state, TLB contents in LRU order, PTS
+counters and per-ASID occupancy.  This file drives hit-heavy schedules
+and multi-tenant runs through a small-PRMB pool (the contended runner)
+and the paper's no-PRMB IOMMU (the fused runner), reusing the
+``run_mode`` harness of ``test_columnar.py``.
 """
 
-import os
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import TranslationEngine
-from repro.core.mmu import MMU, MMUConfig, baseline_iommu_config
+from repro.core.mmu import MMUConfig, baseline_iommu_config
 from repro.core.qos import ARBITRATION_POLICIES, SHARE_POLICIES
-from repro.core.stats import BURN_DOWN
 from repro.memory.address import PAGE_SIZE_4K
-from repro.memory.dram import MainMemory
-from repro.memory.page_table import PageTable
-from repro.npu.dma import ColumnarTransactionStream
 
-BASE = 0x7F00_0000_0000
-N_PAGES = 256
-#: Disjoint never-mapped region used for mid-segment fault injection.
-FAULT_BASE = BASE + (1 << 40)
+from test_columnar import N_PAGES, _storm_triples, run_mode
 
-#: Design points spanning both engine hit paths: the paper's no-PRMB
-#: 8-walker IOMMU (fused runner, ``plan_hits``/``drain_hits``) and a
-#: small-PRMB pool (contended runner, inline plan over the raw heap).
-QB_CONFIGS = [
-    baseline_iommu_config(),
-    MMUConfig(name="prmb4", n_walkers=8, prmb_slots=4),
-]
+#: A small PRMB pool: weighted bursts go through the contended runner.
+PRMB4 = MMUConfig(name="prmb4", n_walkers=8, prmb_slots=4)
 
-
-def build_table(first_pfn=10):
-    table = PageTable()
-    table.map_range(BASE, N_PAGES * PAGE_SIZE_4K, first_pfn=first_pfn)
-    return table
-
-
-# --------------------------------------------------------------------- #
-# strategies: miss stretches followed by long resident runs — the
-# burn-down planner only engages when three or more completions come due
-# inside one same-page hit stretch
-# --------------------------------------------------------------------- #
-
-#: One streaming segment: (start page, page count, txns per page).  The
-#: 200-per-page arm holds a hit stretch open long enough for several
-#: in-flight walks to come due inside it (the planner's ≥3-due gate);
-#: the 1-per-page arm keeps the walker pool saturated between stretches.
-_segment = st.tuples(
+#: Hit-heavy segments: (start page, page count, txns per page).  The
+#: 200-per-page arms hold one page's hit run open while several walks
+#: come due inside it; the 1-per-page arm keeps the walkers busy.
+_hit_segment = st.tuples(
     st.integers(0, N_PAGES - 48),
     st.integers(1, 48),
-    st.sampled_from([1, 1, 2, 16, 200]),
+    st.sampled_from([1, 16, 200, 200]),
 )
 
-#: A mid-segment faulting page (never mapped until the handler maps it).
-_fault = st.integers(1, 6)
-
-_chunk = st.one_of(_segment, _fault)
-
-_burst = st.lists(_chunk, min_size=1, max_size=6)
-
-#: Schedules interleave up to three address spaces (ASIDs 0, 5, 9).
-_schedule = st.lists(
-    st.tuples(st.sampled_from([0, 5, 9]), _burst), min_size=1, max_size=4
+_hit_schedule = st.lists(
+    st.tuples(
+        st.sampled_from([0, 5, 9]),
+        st.lists(
+            st.one_of(_hit_segment, st.integers(1, 6)),
+            min_size=1,
+            max_size=6,
+        ).map(_storm_triples),
+    ),
+    min_size=1,
+    max_size=4,
 )
-
-_qos = st.sampled_from(SHARE_POLICIES)
-
-
-def materialize(burst):
-    """Chunks -> (va, size) transactions (streaming 256 B runs)."""
-    txs = []
-    for chunk in burst:
-        if isinstance(chunk, int):  # fault page
-            txs.append((FAULT_BASE + chunk * PAGE_SIZE_4K, 256))
-            continue
-        start, pages, per_page = chunk
-        pages = min(pages, N_PAGES - start)
-        for p in range(start, start + pages):
-            base = BASE + p * PAGE_SIZE_4K
-            txs.extend(
-                (base + ((p + k) % 16) * 256, 256) for k in range(per_page)
-            )
-    return txs
-
-
-# --------------------------------------------------------------------- #
-# harness
-# --------------------------------------------------------------------- #
-
-
-def run_quota_mode(batch_on, config, qos, schedule, epoch_ops=None):
-    """One multi-ASID columnar run with NEUMMU_QUOTA_BATCH pinned.
-
-    ``epoch_ops`` maps a schedule index to a policy mutation applied
-    *after* that burst: ``("weight", asid, w)`` re-weights a tenant (a
-    ``SharePolicy.version`` bump invalidating the quota/burn-down cache),
-    ``("remove", asid)`` tears the context down mid-run (poisoning its
-    in-flight walks — the planner's residency events).
-    """
-    before = os.environ.get("NEUMMU_QUOTA_BATCH")
-    os.environ["NEUMMU_QUOTA_BATCH"] = "1" if batch_on else "0"
-    try:
-        cfg = replace(config, engine_mode="columnar", qos=qos)
-        mmu = MMU(cfg, None)
-        tables = {
-            0: build_table(first_pfn=10),
-            5: build_table(first_pfn=500_000),
-            9: build_table(first_pfn=900_000),
-        }
-        mmu.register_context(0, tables[0], weight=2.0)
-        mmu.register_context(5, tables[5], weight=1.0)
-        mmu.register_context(9, tables[9], weight=1.5)
-        memory = MainMemory()
-        engine = TranslationEngine(mmu, memory)
-
-        def demand_map(vpn, cycle, asid):
-            tables[asid].map_range(
-                vpn << 12, PAGE_SIZE_4K,
-                first_pfn=2_000_000 + (vpn & 0xFFFF) * 8 + asid,
-            )
-            mmu.shootdown(vpn, asid)
-            return cycle + 2500.0
-
-        engine.fault_handler = demand_map
-        removed = set()
-        results = []
-        for i, (asid, burst) in enumerate(schedule):
-            if asid not in removed:
-                txs = ColumnarTransactionStream.from_pairs(
-                    materialize(burst), PAGE_SIZE_4K
-                )
-                results.append(engine.run_burst(txs, float(i * 7), asid))
-            op = (epoch_ops or {}).get(i)
-            if op is not None:
-                if op[0] == "weight":
-                    mmu.share_policy.set_weight(op[1], op[2])
-                else:
-                    mmu.destroy_context(op[1])
-                    removed.add(op[1])
-        mmu.drain()
-        state = {
-            "results": results,
-            "summary": mmu.summary(),
-            "channels": tuple(memory._channel_free),
-            "mem": (memory.total_bytes, memory.total_accesses),
-            "pts": (mmu.pts.lookups, mmu.pts.hits, mmu.pts.in_flight),
-            "tlb_sets": [list(s.items()) for s in mmu.tlb._sets],
-            "occupancy": dict(mmu.tlb._asid_occupancy),
-        }
-        return state
-    finally:
-        if before is None:
-            os.environ.pop("NEUMMU_QUOTA_BATCH", None)
-        else:
-            os.environ["NEUMMU_QUOTA_BATCH"] = before
-
-
-def assert_modes_identical(config, qos, schedule, epoch_ops=None):
-    on = run_quota_mode(True, config, qos, schedule, epoch_ops)
-    off = run_quota_mode(False, config, qos, schedule, epoch_ops)
-    assert on == off
-
-
-# --------------------------------------------------------------------- #
-# engine-level differential fuzz
-# --------------------------------------------------------------------- #
 
 
 class TestQuotaBatchDifferential:
-    @pytest.mark.parametrize("config", QB_CONFIGS, ids=lambda c: c.name)
-    @given(schedule=_schedule, qos=_qos)
-    @settings(max_examples=20, deadline=None)
-    def test_batched_matches_per_event(self, config, schedule, qos):
-        assert_modes_identical(config, qos, schedule)
-
-    @given(schedule=_schedule)
-    @settings(max_examples=10, deadline=None)
-    def test_mid_segment_faults(self, schedule):
-        """Every burst gets a guaranteed mid-segment fault injected."""
-        faulted = [
-            (asid, burst[: len(burst) // 2] + [3] + burst[len(burst) // 2:])
-            for asid, burst in schedule
-        ]
-        assert_modes_identical(
-            baseline_iommu_config(), "static_partition", faulted
-        )
-
-    @given(schedule=_schedule, qos=_qos)
+    @given(schedule=_hit_schedule, qos=st.sampled_from(SHARE_POLICIES))
     @settings(max_examples=10, deadline=None)
     def test_epoch_bumps(self, schedule, qos):
-        """Re-weight after the first burst, remove ASID 9 after the second.
-
-        ``set_weight`` bumps ``SharePolicy.version`` (invalidating the
-        quota cache ``burn_down`` answers through); ``destroy_context``
-        poisons in-flight walks, the residency events the planner must
-        decline on.
-        """
+        """Re-weight ASID 5 after the first burst, remove ASID 9 after the
+        second: the hit phase must follow the ``SharePolicy.version``
+        bump, and poisoned in-flight walks must retire without filling
+        the TLB, on both runners."""
         ops = {0: ("weight", 5, 3.0), 1: ("remove", 9)}
-        assert_modes_identical(
-            baseline_iommu_config(), qos, schedule, epoch_ops=ops
-        )
+        for config in (baseline_iommu_config(), PRMB4):
+            columnar = run_mode(
+                "columnar", config, qos, schedule, PAGE_SIZE_4K,
+                epoch_ops=ops,
+            )
+            reference = run_mode(
+                "reference", config, qos, schedule, PAGE_SIZE_4K,
+                epoch_ops=ops,
+            )
+            assert columnar == reference, config.name
 
 
 # --------------------------------------------------------------------- #
-# deterministic engagement coverage: the batch must actually fire
-# --------------------------------------------------------------------- #
-
-#: Saturate the 8-walker pool with fresh pages, then hold a single
-#: resident page's hit stretch open for 500 transactions — several of
-#: the in-flight walks come due inside it, clearing the ≥3-due gate
-#: (500, not 200: under PRMB the trailing walks start in a tight burst,
-#: so their completions cluster a full walk duration past the stretch
-#: head and a shorter window would close before any come due).
-_ENGAGE = [(0, [(0, 30, 1), (0, 1, 500), (30, 18, 1), (5, 1, 500)])]
-
-
-class TestBatchEngages:
-    # full_share on the no-PRMB IOMMU drives the fused runner's
-    # ``plan_hits``/``drain_hits``; a work-conserving weighted policy on
-    # the PRMB pool drives the contended runner's inline plan (a trivial
-    # policy would route PRMB bursts through ``_run_burst_batched``,
-    # which has its own deferral machinery and no burn-down).
-    @pytest.mark.parametrize(
-        "config,qos",
-        [(QB_CONFIGS[0], "full_share"), (QB_CONFIGS[1], "weighted")],
-        ids=["fused", "contended"],
-    )
-    def test_batched_drains_fire(self, config, qos):
-        BURN_DOWN.reset()
-        state = run_quota_mode(True, config, qos, _ENGAGE)
-        engaged = BURN_DOWN.snapshot()
-        assert engaged["hit_segments"] > 0, engaged
-        assert engaged["hit_drained"] >= 3 * engaged["hit_segments"], engaged
-        BURN_DOWN.reset()
-        assert state == run_quota_mode(False, config, qos, _ENGAGE)
-        # The per-event mode must never touch the planner.
-        assert BURN_DOWN.snapshot()["hit_segments"] == 0
-
-
-# --------------------------------------------------------------------- #
-# multi-tenant: all 9 QoS policy × arbitration combos
+# multi-tenant: share policy x arbitration on the PRMB pool
 # --------------------------------------------------------------------- #
 
 
-def _tenant_cell(qos, arbitration, batch_on):
+def _tenant_cell(qos, arbitration, mode):
     from repro.npu.simulator import run_multi_tenant
     from repro.workloads.registry import DenseWorkloadFactory
 
-    before = os.environ.get("NEUMMU_QUOTA_BATCH")
-    os.environ["NEUMMU_QUOTA_BATCH"] = "1" if batch_on else "0"
-    try:
-        return run_multi_tenant(
-            DenseWorkloadFactory("RNN-2", 1),
-            baseline_iommu_config(),
-            2,
-            arbitration=arbitration,
-            qos=qos,
-            weights=(2.0, 1.0),
-        )
-    finally:
-        if before is None:
-            os.environ.pop("NEUMMU_QUOTA_BATCH", None)
-        else:
-            os.environ["NEUMMU_QUOTA_BATCH"] = before
+    return run_multi_tenant(
+        DenseWorkloadFactory("RNN-2", 1),
+        replace(PRMB4, engine_mode=mode),
+        2,
+        arbitration=arbitration,
+        qos=qos,
+        weights=(2.0, 1.0),
+    )
 
 
 class TestTenantCombos:
     def test_contended_cell_identical(self):
-        """Fast tier: the deepest quota regime, batch on vs off."""
-        on = _tenant_cell("static_partition", "round_robin", True)
-        off = _tenant_cell("static_partition", "round_robin", False)
-        assert on == off
+        """Fast tier: the deepest quota regime on the PRMB pool."""
+        columnar = _tenant_cell("static_partition", "round_robin", "columnar")
+        reference = _tenant_cell(
+            "static_partition", "round_robin", "reference"
+        )
+        assert columnar == reference
 
     @pytest.mark.slow
     @pytest.mark.parametrize("qos", SHARE_POLICIES)
     @pytest.mark.parametrize("arbitration", ARBITRATION_POLICIES)
     def test_all_nine_combos_identical(self, qos, arbitration):
-        on = _tenant_cell(qos, arbitration, True)
-        off = _tenant_cell(qos, arbitration, False)
-        assert on == off
+        columnar = _tenant_cell(qos, arbitration, "columnar")
+        reference = _tenant_cell(qos, arbitration, "reference")
+        assert columnar == reference

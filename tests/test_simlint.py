@@ -332,132 +332,6 @@ def test_calendar_retire_quiet_in_init_plan_and_drain():
     assert ids == []
 
 
-# -- cyc-burndown-admit --------------------------------------------------- #
-
-def test_burndown_admit_fires_on_out_of_band_occupancy_write():
-    ids = rule_ids(
-        """
-        class Runner:
-            def fast_admit(self, span):
-                self.bd_count += span
-        """
-    )
-    assert ids == ["cyc-burndown-admit"]
-
-
-def test_burndown_admit_fires_on_column_replacement_outside_plan():
-    ids = rule_ids(
-        """
-        class Runner:
-            def settle(self, dues):
-                self.calendar.bd_count = len(dues)
-        """
-    )
-    assert ids == ["cyc-burndown-admit"]
-
-
-def test_burndown_admit_quiet_in_init_plan_and_drain():
-    ids = rule_ids(
-        """
-        class CompletionCalendar:
-            def __init__(self):
-                self.bd_count = 0
-
-            def plan_hits(self, order, idx, cutoff):
-                self.bd_count = 3
-                return self.bd_count
-
-            def drain_hits(self, order, idx, policied):
-                self.bd_count = 0
-
-            def reset(self):
-                self.bd_count = 0
-        """
-    )
-    assert ids == []
-
-
-def test_burndown_admit_quiet_on_bare_locals():
-    """Engine-side plan bookkeeping (bd_skip/bd_fails locals) is fair game;
-    only attribute columns are the planner's ledger."""
-    ids = rule_ids(
-        """
-        def run(n):
-            bd_skip = 0
-            bd_fails = 0
-            bd_fails += 1
-            bd_skip = n
-        """
-    )
-    assert ids == []
-
-
-# -- cyc-window-retire ----------------------------------------------------- #
-
-def test_window_retire_fires_on_out_of_band_column_write():
-    ids = rule_ids(
-        """
-        class Runner:
-            def fast_forward(self, m):
-                self.win_m = m
-        """
-    )
-    assert ids == ["cyc-window-retire"]
-
-
-def test_window_retire_fires_on_foreign_count_mutation():
-    ids = rule_ids(
-        """
-        class Runner:
-            def absorb(self, k):
-                self.calendar.win_foreign += k
-        """
-    )
-    assert ids == ["cyc-window-retire"]
-
-
-def test_window_retire_quiet_in_init_plan_and_drain():
-    ids = rule_ids(
-        """
-        class CompletionCalendar:
-            def __init__(self):
-                self.win_m = 0
-                self.win_foreign = 0
-                self.win_quota_proof = False
-
-            def plan_window(self, m, foreign):
-                self.win_m = m
-                self.win_foreign = foreign
-                self.win_quota_proof = True
-                return m
-
-            def drain_window(self):
-                self.win_m = 0
-                self.win_foreign = 0
-                self.win_quota_proof = False
-
-            def reset(self):
-                self.win_m = 0
-        """
-    )
-    assert ids == []
-
-
-def test_window_retire_quiet_on_bare_locals():
-    """Engine-side hysteresis (win_skip/win_fails locals) is fair game;
-    only attribute columns are the planner's ledger."""
-    ids = rule_ids(
-        """
-        def run(n):
-            win_skip = 0
-            win_fails = 0
-            win_fails += 1
-            win_skip = n
-        """
-    )
-    assert ids == []
-
-
 # -- layer-import --------------------------------------------------------- #
 
 def test_layer_import_fires_on_core_importing_npu_and_analysis():

@@ -523,72 +523,6 @@ def check_cyc_calendar_retire(ctx: FileContext) -> Iterator[Triple]:
             )
 
 
-_BURNDOWN_WRITE_OK = ("plan_hits", "drain_hits", "reset", "_reset",
-                      "clear", "_clear")
-
-
-def check_cyc_burndown_admit(ctx: FileContext) -> Iterator[Triple]:
-    for node in ast.walk(ctx.tree):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        for target in targets:
-            if not isinstance(target, ast.Attribute):
-                continue
-            attr = target.attr
-            if not attr.startswith("bd_"):
-                continue
-            func = ctx.enclosing_function(target)
-            fname = getattr(func, "name", "")
-            if fname in {"__init__", "__post_init__", "__setstate__"}:
-                continue
-            if fname.startswith(_BURNDOWN_WRITE_OK):
-                continue
-            yield (
-                node.lineno, node.col_offset,
-                f"raw write to burn-down occupancy column {attr!r} outside "
-                f"the planner's plan/drain methods; a hit stretch admits "
-                f"quota only through plan_hits and retires it only through "
-                f"drain_hits, so the admitted span stays bit-identical to "
-                f"the per-event burn_down ledger",
-            )
-
-
-_WINDOW_WRITE_OK = ("plan_window", "drain_window", "reset", "_reset",
-                    "clear", "_clear")
-
-
-def check_cyc_window_retire(ctx: FileContext) -> Iterator[Triple]:
-    for node in ast.walk(ctx.tree):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        for target in targets:
-            if not isinstance(target, ast.Attribute):
-                continue
-            attr = target.attr
-            if not attr.startswith("win_"):
-                continue
-            func = ctx.enclosing_function(target)
-            fname = getattr(func, "name", "")
-            if fname in {"__init__", "__post_init__", "__setstate__"}:
-                continue
-            if fname.startswith(_WINDOW_WRITE_OK):
-                continue
-            yield (
-                node.lineno, node.col_offset,
-                f"raw write to mixed-window column {attr!r} outside the "
-                f"planner's plan/drain methods; a miss window is proved "
-                f"only by plan_window's quota trajectory and retired only "
-                f"by drain_window, so the window span stays bit-identical "
-                f"to the per-event stall/retire chain",
-            )
-
-
 # --------------------------------------------------------------------------
 # layer-import: the package DAG
 # --------------------------------------------------------------------------
@@ -740,25 +674,6 @@ RULES: Tuple[Rule, ...] = (
                   "drain's stall telescoping and PTS replay, diverging "
                   "from the per-event heap bit-for-bit contract",
         check=check_cyc_calendar_retire,
-    ),
-    Rule(
-        id="cyc-burndown-admit",
-        severity="error",
-        summary="burn-down occupancy columns change only in plan/drain methods",
-        rationale="an out-of-band occupancy write admits or retires quota "
-                  "without the planner's closed-form ledger, diverging from "
-                  "the per-event burn_down accounting bit-for-bit contract",
-        check=check_cyc_burndown_admit,
-    ),
-    Rule(
-        id="cyc-window-retire",
-        severity="error",
-        summary="mixed-window columns change only in plan/drain methods",
-        rationale="an out-of-band window write retires a miss window "
-                  "without plan_window's closed-form quota-trajectory "
-                  "proof, diverging from the per-event stall/retire chain "
-                  "bit-for-bit contract",
-        check=check_cyc_window_retire,
     ),
     Rule(
         id="layer-import",
