@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import math
 import time
+from dataclasses import replace
 
 from repro.analysis.figures import FigureResult, geometric_mean
 from repro.core.engine import TranslationEngine
@@ -74,10 +75,11 @@ def _replay(sim, bursts, mmu_config, batched: bool, resolver=None):
     measures engine steady state rather than first-touch functional page
     walks (which both paths pay identically).
     """
-    mmu = MMU(mmu_config, sim.address_space.page_table)
+    mode = "columnar" if batched else "reference"
+    mmu = MMU(replace(mmu_config, engine_mode=mode), sim.address_space.page_table)
     if resolver is not None:
         mmu.replace_resolver(resolver)
-    engine = TranslationEngine(mmu, MainMemory(), batched=batched)
+    engine = TranslationEngine(mmu, MainMemory())
     gc.disable()
     started = time.perf_counter()
     results, data_end = engine.run_bursts(bursts, 0.0)

@@ -53,9 +53,9 @@ any scenario sits more than 20% below the normalized expectation
 (gitignored, like every generated benchmark artifact) so local and CI
 runs never dirty the working tree; the copy committed at the repository
 root is the frozen record taken once the quota planners were deleted
-(the columnar engine, completion calendar and in-runner fault handling,
-with quota regimes on the per-event path), regenerated only when a
-change intentionally moves the needle.  ``NEUMMU_PERF_OUT`` overrides the
+and every share policy ran on one batched engine path (the columnar
+engine, completion calendar and in-runner fault handling), regenerated
+only when a change intentionally moves the needle.  ``NEUMMU_PERF_OUT`` overrides the
 output path.
 
 Paired A/B mode (``--paired VAR=a,b [--pairs N] [--only s1,s2]``): times
@@ -262,6 +262,35 @@ BASELINE = {
         "quota_hit_phase": {"wall_s": 0.544, "translations_per_sec": 1125000},
         "quota_miss_phase": {"wall_s": 0.329, "translations_per_sec": 109422},
         "demand_paging": {"wall_s": 0.937, "translations_per_sec": 196891},
+    },
+    # One batched engine path: pre_single_batched_path is the tree with
+    # separate full-share and contended batched burst paths and
+    # post_single_batched_path the tree with the contended path folded
+    # into the full-share one, five interleaved back-to-back pairs on a
+    # shared 2-CPU box (order flipped every pair); each row is the
+    # per-scenario median wall time.  Paired throughput ratios post/pre
+    # (median, IQR): engine_fastpath 1.05x (1.00-1.05), single_tenant
+    # 1.00x (0.96-1.01), qos_sweep 1.03x (0.99-1.06), contended_sweep
+    # 1.03x (1.02-1.06), quota_hit_phase 1.06x (1.04-1.06),
+    # quota_miss_phase 1.05x (1.04-1.14), demand_paging 1.03x
+    # (1.03-1.04).  Single pairs swung 0.88-1.24: parity.
+    "pre_single_batched_path": {
+        "engine_fastpath": {"wall_s": 0.12, "translations_per_sec": 2184533},
+        "single_tenant": {"wall_s": 0.777, "translations_per_sec": 396179},
+        "qos_sweep": {"wall_s": 4.276, "translations_per_sec": 621530},
+        "contended_sweep": {"wall_s": 1.942, "translations_per_sec": 456173},
+        "quota_hit_phase": {"wall_s": 0.446, "translations_per_sec": 1372197},
+        "quota_miss_phase": {"wall_s": 0.28, "translations_per_sec": 128571},
+        "demand_paging": {"wall_s": 0.656, "translations_per_sec": 281230},
+    },
+    "post_single_batched_path": {
+        "engine_fastpath": {"wall_s": 0.118, "translations_per_sec": 2221559},
+        "single_tenant": {"wall_s": 0.794, "translations_per_sec": 387696},
+        "qos_sweep": {"wall_s": 4.084, "translations_per_sec": 650750},
+        "contended_sweep": {"wall_s": 1.857, "translations_per_sec": 477053},
+        "quota_hit_phase": {"wall_s": 0.449, "translations_per_sec": 1363029},
+        "quota_miss_phase": {"wall_s": 0.27, "translations_per_sec": 133333},
+        "demand_paging": {"wall_s": 0.635, "translations_per_sec": 290531},
     },
 }
 

@@ -17,17 +17,24 @@ system:
 An oracular MMU makes every translation free, so the same engine computes
 the paper's normalization baseline.
 
-Two execution paths
--------------------
-``run_burst`` retires transactions either through the *reference* path —
-one fully general Python iteration per transaction, routed through
-:meth:`MMU.translate` — or through the *batched* fast path (the default),
-which exploits the streaming structure of dense tile fetches: a 4 KB page
-sees a run of ~16 back-to-back same-page transactions (Section III-C), and
-within such a run every transaction resolves the same way (all TLB hits,
-or all PRMB merges into the same walker).  The fast path retires those
-runs with bulk counter updates — one TLB touch per run, one PRMB occupancy
-update per walker — and a tight arithmetic loop over the memory channels.
+Execution paths
+---------------
+``run_burst`` retires transactions through one of three paths:
+
+* the *reference* path — one fully general Python iteration per
+  transaction, routed through :meth:`MMU.translate` (``engine_mode=
+  "reference"``, and the fallback for timeline capture, prefetching and
+  two-level TLBs);
+* the *oracle* path — free translation, one resolver probe per page;
+* the *batched* path (the default for translated MMUs, under every QoS
+  share policy), which exploits the streaming structure of dense tile
+  fetches: a 4 KB page sees a run of ~16 back-to-back same-page
+  transactions (Section III-C), and within such a run every transaction
+  resolves the same way (all TLB hits, or all PRMB merges into the same
+  walker).  It retires those runs with bulk counter updates — one TLB
+  touch per run, one PRMB occupancy update per walker — and a tight
+  arithmetic loop over the memory channels; PRMB-less misses go to the
+  fused no-PRMB loops (:meth:`TranslationEngine._no_prmb_entry`).
 
 For fully contiguous uniform 256 B runs (the DMA's streaming output, as
 certified by :class:`~repro.npu.dma.TransactionStream` run metadata) a
@@ -35,10 +42,10 @@ further *closed form* applies: when no channel queueing can occur, only
 the last ``n_channels`` transactions' finish times are observable, so the
 bulk of the run reduces to an exact issue-cycle spin.
 
-The two paths are kept *bit-identical*: the batched path performs exactly
-the floating-point operation sequence of the reference path for every
-observable timing quantity, and interleaves walk retirements with TLB
-fills, PRMB drains and LRU updates in reference order (retirements that
+The fast paths are kept *bit-identical* to the reference: they perform
+exactly its floating-point operation sequence for every observable timing
+quantity, and interleave walk retirements with TLB fills, PRMB drains and
+LRU updates in reference order (retirements that
 provably commute with a run's bulk — other pages' completions during a
 merge run — may be deferred to the run boundary).
 ``tests/test_fastpath_parity.py`` enforces the equivalence.
@@ -97,9 +104,9 @@ def _run_bounds(
     a contiguous uniform 256 B stream (the closed-form precondition),
     and the advanced cursor into the DMA-provided ``meta`` run list
     (``None`` meta falls back to scanning the column lists).  One
-    derivation shared by every batched/contended segment — the copies
-    *must* stay operation-identical for the parity contract, so there
-    is exactly one.  Callers memoize the result per run
+    derivation shared by every oracle, batched and no-PRMB segment — the
+    copies *must* stay operation-identical for the parity contract, so
+    there is exactly one.  Callers memoize the result per run
     (``run_vpn``/``run_end``), so this runs once per same-page run, not
     per transaction.
     """
@@ -175,7 +182,6 @@ class TranslationEngine:
         issue_interval: float = 1.0,
         timeline_window: int = 0,
         fault_handler: Optional[FaultHandler] = None,
-        batched: bool = True,
     ) -> None:
         if issue_interval <= 0:
             raise ValueError("issue interval must be positive")
@@ -184,12 +190,6 @@ class TranslationEngine:
         self.issue_interval = issue_interval
         self.timeline_window = timeline_window
         self.fault_handler = fault_handler
-        #: Enable the batched same-page fast path (set False to force the
-        #: per-transaction golden-reference path).  ``engine_mode=
-        #: "reference"`` pins the engine to the per-object golden path
-        #: regardless — that mode *is* the reference the columnar
-        #: representation is golden-diffed against.
-        self.batched = batched and mmu.config.engine_mode != "reference"
         #: window index -> number of translation requests issued in it
         #: (Figure 7's burst histogram).  Populated when timeline_window > 0.
         #: A defaultdict so the per-transaction histogram update is one
@@ -204,20 +204,22 @@ class TranslationEngine:
     # ------------------------------------------------------------------ #
 
     def _batchable(self) -> bool:
-        """Whether a fast path covers this engine's configuration.
+        """Whether a fast path (oracle or batched) covers this engine's
+        configuration.
 
-        Timeline capture needs a per-transaction histogram update, the
-        prefetcher hooks fire per TLB hit, and the two-level TLB's hit
-        latency depends on which level hits — all three fall back to the
-        reference path, as does an oracular MMU with a demand-paging
-        handler (whose faults route through :meth:`MMU.translate`).  A
-        non-trivial QoS share policy no longer forces the reference path:
-        it selects the *contended* batched path, which enforces every
-        quota at segment granularity (see :meth:`_run_burst_contended`).
+        ``engine_mode="reference"`` pins the engine to the per-transaction
+        golden path — that mode *is* the reference the fast paths are
+        golden-diffed against.  Timeline capture needs a per-transaction
+        histogram update, the prefetcher hooks fire per TLB hit, and the
+        two-level TLB's hit latency depends on which level hits — all
+        three fall back to the reference path, as does an oracular MMU
+        with a demand-paging handler (whose faults route through
+        :meth:`MMU.translate`).  The share policy never decides: the
+        batched path enforces every quota at segment granularity.
         """
-        if self.timeline_window:
-            return False
         mmu = self.mmu
+        if self.timeline_window or mmu.config.engine_mode == "reference":
+            return False
         if mmu.config.oracle:
             return self.fault_handler is None
         return mmu.prefetcher is None and not mmu._two_level
@@ -232,12 +234,10 @@ class TranslationEngine:
         the address-space context the burst translates under (0 = the
         single-tenant default); shared-MMU tenants each pass their own.
         """
-        if self.batched and self._batchable():
+        if self._batchable():
             if self.mmu.config.oracle:
                 return self._run_burst_oracle(transactions, start_cycle, asid)
-            if self.mmu.share_policy.trivial:
-                return self._run_burst_batched(transactions, start_cycle, asid)
-            return self._run_burst_contended(transactions, start_cycle, asid)
+            return self._run_burst_batched(transactions, start_cycle, asid)
         return self._run_burst_reference(transactions, start_cycle, asid)
 
     # ------------------------------------------------------------------ #
@@ -403,21 +403,9 @@ class TranslationEngine:
                 # present for this page; only the memory arithmetic runs).
                 if i >= n or va_list[i] >> vpn_shift != vpn:
                     continue
-                if meta is not None:
-                    while meta[rc][0] <= i:
-                        rc += 1
-                    j, streamable = meta[rc]
-                else:
-                    j = i + 1
-                    while j < n and va_list[j] >> vpn_shift == vpn:
-                        j += 1
-                    va0 = va_list[i]
-                    streamable = (
-                        j - i >= 2
-                        and size_list[i] == 256
-                        and va_list[j - 1] - va0 == (j - 1 - i) * 256
-                        and all(s == 256 for s in size_list[i:j])
-                    )
+                j, streamable, rc = _run_bounds(
+                    va_list, size_list, i, n, vpn, vpn_shift, meta, rc
+                )
                 span = j - i
                 va0 = va_list[i]
                 if (
@@ -494,14 +482,42 @@ class TranslationEngine:
     def _run_burst_batched(
         self, transactions: Sequence[Transaction], start_cycle: float, asid: int = 0
     ) -> BurstResult:
-        """Same-page run batching for translated (non-oracle) MMUs.
+        """Same-page run batching for translated (non-oracle) MMUs under
+        every share policy.
 
         Each transaction is first retired exactly as the reference path
         would; if the following transactions stay on the same virtual page,
-        the run is consumed in bulk.  A run segment never crosses a
-        walker-completion event (``heap[0][0]``), so TLB fills and PRMB
-        drains interleave with lookups in reference order, and it ends the
-        moment its uniform resolution (TLB hit / PRMB merge) stops holding.
+        the run is consumed in bulk.  TLB fills and PRMB drains interleave
+        with lookups in reference order, and a segment ends the moment its
+        uniform resolution (TLB hit / PRMB merge) stops holding.
+
+        A share policy only caps how much of the pipeline a tenant may
+        use, so the one loop serves all of them; what a quota changes is
+        a burst-scope local derived from ``policy.trivial``:
+
+        * ``defer_hits`` — under a trivial policy with >= 2 TLB ways, walk
+          completions inside a hit run are deferred to its end (see the
+          hit branch).  Otherwise a hit segment is bounded by the earliest
+          in-flight completion and the policy's
+          :meth:`~repro.core.qos.SharePolicy.next_event_for` horizon: a
+          policied fill picks victims from per-tenant LRU state, and when
+          the run's tenant holds a single entry in the target set a
+          deferred fill could evict the run page itself (a direct-mapped
+          TLB has the same hazard without any policy).
+        * Merge runs are bounded by this page's own earliest walk
+          completion; under quotas also by the policy horizon and the
+          tenant's PRMB-quota room, which only shrinks inside a segment
+          (the drains that would grow it are completions the next leading
+          step retires first).
+        * ``fused`` — the inlined ``MMU.translate`` leading step has no
+          quota checks, so it runs only for trivial policies.
+        * ``process`` — the slim drain for trivial policies;
+          :meth:`MMU.process_completions` (per-tenant busy sets, PRMB
+          occupancy and policied fills) otherwise.
+
+        Boundary transactions (walk starts, stalls, quota-exhausted
+        merges) take one fully general reference step each, keeping this
+        path bit-identical to :meth:`_run_burst_reference`.
 
         Shared structures are probed with the ASID-tagged key
         ``vpn | (asid << ASID_SHIFT)``; the tag bits sit above the TLB's
@@ -514,7 +530,6 @@ class TranslationEngine:
         interval = self.issue_interval
         fault_handler = self.fault_handler
         translate = mmu.translate
-        process = mmu.process_completions
         stats = mmu.stats
         tlb = mmu.tlb
         tlb_latency = mmu._tlb_latency
@@ -529,6 +544,14 @@ class TranslationEngine:
         completion_of = pool._completion_of
         prmb_capacity = mmu._prmb_slots
         prmb_stats = pool.prmb_stats
+        prmb_occ = pool._prmb_occ
+        prmb_total = pool.n_walkers * pool.prmb_slots
+        policy = mmu.share_policy
+        # The pool keeps no per-tenant state (``pool._policy is None``)
+        # exactly when the policy is trivial.
+        trivial = policy.trivial
+        policy_next_event = policy.next_event_for
+        prmb_quota_of = policy.prmb_quota
         inf = float("inf")
 
         mem_cfg = memory.config
@@ -553,8 +576,9 @@ class TranslationEngine:
         tlb_set_mask = tlb._set_mask
         # Whole-run hit batching defers completion retirement past the
         # run's hits, which preserves eviction victims only while the hit
-        # page cannot itself be a set's LRU entry — i.e. at >= 2 ways.
-        hit_runs_batchable = tlb._ways >= 2
+        # page cannot itself be a fill's victim: at >= 2 ways, and with no
+        # per-tenant victim choice.
+        defer_hits = trivial and tlb._ways >= 2
 
         cycle = start_cycle
         data_end = start_cycle
@@ -572,11 +596,11 @@ class TranslationEngine:
             va_list = [t[0] for t in transactions]
             size_list = [t[1] for t in transactions]
 
-        # Fused leading-transaction dispatch (columnar tentpole): inline
-        # MMU.translate for the trivial-policy PRMB design points, probing
-        # the same structures with the same counters in the same order.
+        # Fused leading-transaction dispatch: inline MMU.translate for the
+        # trivial-policy PRMB design points, probing the same structures
+        # with the same counters in the same order.
         resolver = mmu._resolvers.get(asid)
-        fused = prmb_capacity and resolver is not None
+        fused = prmb_capacity and resolver is not None and trivial
         pool_stats = pool.stats
         walk_of = pool._walk_of
         vpn_arr = pool._vpn
@@ -589,14 +613,12 @@ class TranslationEngine:
             resolver_resolve = resolver.resolve_vpn
             r_cache = resolver._cache
 
-        # Slim fused drain: MMU.process_completions with the per-call
-        # binding prologue hoisted to burst scope and the TPREG fill /
-        # set-MRU-refill fast cases inlined (a resident set-MRU refill
-        # with the same PFN is a state no-op; see the runner's guard).
+        # Slim fused drain for trivial policies: MMU.process_completions
+        # with the per-call binding prologue hoisted to burst scope, no
+        # per-tenant bookkeeping, and the TPREG fill / set-MRU-refill fast
+        # cases inlined (a resident set-MRU refill with the same PFN is a
+        # state no-op; see the runner's guard).
         poisoned = mmu._poisoned_walkers
-        busy_by_asid = pool._busy_by_asid
-        prmb_occ = pool._prmb_occ
-        policied = pool._policy is not None
         tlb_insert = tlb.insert
         heappop_ = heapq.heappop
 
@@ -610,22 +632,14 @@ class TranslationEngine:
                     tp._asid = walk.asid
                 elif shared_cache is not None:
                     shared_cache.fill(walk)
-                buf = buffers[walker]
-                merged = buf._occupied
-                buf._occupied = 0
+                buffers[walker]._occupied = 0
                 vpn_arr[walker] = None
                 walk_of[walker] = None
-                w_asid = walk.asid
-                if policied:
-                    busy = busy_by_asid.get(w_asid)
-                    if busy is not None:
-                        busy.discard(walker)
-                    if merged:
-                        prmb_occ[w_asid] -= merged
                 free_list.append(walker)
                 if poisoned and walker in poisoned:
                     poisoned.discard(walker)
                     continue
+                w_asid = walk.asid
                 key = walk.vpn | (w_asid << ASID_SHIFT)
                 walkers_ = pts_by_vpn[key]
                 walkers_.remove(walker)
@@ -640,7 +654,7 @@ class TranslationEngine:
                 ):
                     tlb_insert(walk.vpn, walk.pfn, w_asid)
 
-        process = drain
+        process = drain if trivial else mmu.process_completions
 
         # DMA-provided run metadata (TransactionStream): same-page run
         # bounds and streamability known at linearization time, replacing
@@ -832,18 +846,56 @@ class TranslationEngine:
             # transaction for the fast path's existence.
             while i < n and va_list[i] >> vpn_shift == vpn:
                 if tkey in tlb_sets[tkey & tlb_set_mask]:
-                    # Bulk TLB hits over the whole run.  Walk completions
-                    # that fall inside the run are deferred to its end and
-                    # then retired in one ``process`` call: the pops happen
-                    # in identical heap order with cycle-independent
-                    # effects, eviction victims are unchanged (this page
-                    # was bumped by the run's leading lookup, so it is
-                    # never a set's LRU entry while ways >= 2), and the
-                    # final LRU touch lands after exactly the fills whose
-                    # completion precedes the run's last issue — the
-                    # reference interleaving.
-                    if not hit_runs_batchable:
-                        break
+                    # Bulk TLB hits.  With ``defer_hits`` the segment is
+                    # the whole run: walk completions that fall inside it
+                    # are deferred to its end and then retired in one
+                    # ``process`` call — the pops happen in identical heap
+                    # order with cycle-independent effects, eviction
+                    # victims are unchanged (this page was bumped by the
+                    # run's leading lookup, so it is never a set's LRU
+                    # entry while ways >= 2), and the final LRU touch lands
+                    # after exactly the fills whose completion precedes the
+                    # run's last issue — the reference interleaving.
+                    if defer_hits:
+                        t = n
+                    else:
+                        # Bounded by the next walk completion (and policy
+                        # event): no fill lands inside the segment, so
+                        # every transaction is a plain resident lookup.
+                        h = heap[0][0] if heap else inf
+                        if h <= cycle:
+                            process(cycle)
+                            continue
+                        horizon = policy_next_event(asid, cycle)
+                        if horizon < h:
+                            h = horizon
+                        # Conservative count of transactions that issue
+                        # strictly before the horizon.
+                        # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
+                        t = int((h - cycle) / interval) - 1 if h != inf else n
+                        if t <= 0:
+                            # Horizon-boundary transaction: exactly one
+                            # reference hit, inlined (no completion is due
+                            # at *this* cycle — ``h > cycle`` — so the
+                            # reference step would be a bare lookup).
+                            stats.requests += 1
+                            stats.tlb_hits += 1
+                            tlb.lookup(vpn, asid)
+                            ready = cycle + tlb_latency
+                            va = va_list[i]
+                            size = size_list[i]
+                            channel = (va >> 8) % n_channels
+                            free_at = channel_free[channel]
+                            start = ready if ready > free_at else free_at
+                            finish = start + size / ch_bw
+                            channel_free[channel] = finish
+                            done = finish + mem_latency
+                            if done > data_end:
+                                data_end = done
+                            total_bytes += size
+                            cycle += interval
+                            i += 1
+                            continue
                     if run_vpn != vpn or i >= run_end:
                         j, run_streamable, rc = _run_bounds(
                             va_list, size_list, i, n, vpn, vpn_shift, meta, rc
@@ -853,6 +905,9 @@ class TranslationEngine:
                     else:
                         j = run_end
                     span = j - i
+                    if span > t:
+                        span = t
+                        j = i + span
                     closed = False
                     va0 = va_list[i]
                     if (
@@ -907,6 +962,8 @@ class TranslationEngine:
                             cycle += interval
                     stats.requests += span
                     stats.tlb_hits += span
+                    # Retire the deferred completions (never due in a
+                    # bounded segment, which ends before the next one).
                     if heap and heap[0][0] <= last_issue:
                         process(last_issue)
                     tlb.touch(vpn, span, asid)
@@ -940,7 +997,8 @@ class TranslationEngine:
                 # backlog in identical heap order, with cycle-independent
                 # effects) is therefore exactly equivalent — so a merge
                 # segment only has to break when one of *this page's*
-                # walks completes and flips the run to TLB hits.
+                # walks completes and flips the run to TLB hits, or (under
+                # quotas) at the policy horizon or the tenant's quota room.
                 if len(walkers) == 1:
                     h_mine = completion_of[walkers[0]]
                 else:
@@ -950,6 +1008,20 @@ class TranslationEngine:
                     # backlog and re-dispatch (the run flips to TLB hits).
                     process(cycle)
                     continue
+                # Merge-quota room: how many merges this tenant can park
+                # before its PRMB reservation binds — the same
+                # ``prmb_quota`` the per-event ``WalkerPool.can_merge``
+                # check reads.  ``n`` never binds.
+                room = n
+                if not trivial:
+                    horizon = policy_next_event(asid, cycle)
+                    if horizon < h_mine:
+                        h_mine = horizon
+                    quota = prmb_quota_of(asid, prmb_total)
+                    if quota is not None:
+                        room = quota - prmb_occ.get(asid, 0)
+                        if room <= 0:
+                            break
                 if run_vpn != vpn or i >= run_end:
                     j, run_streamable, rc = _run_bounds(
                         va_list, size_list, i, n, vpn, vpn_shift, meta, rc
@@ -969,9 +1041,11 @@ class TranslationEngine:
                         full_skips += 1
                         continue
                     comp = completion_of[walker]
-                    room = cap - pos
+                    room_w = cap - pos
                     avail = j - i
-                    span = avail if avail < room else room
+                    span = avail if avail < room_w else room_w
+                    if room < span:
+                        span = room
                     # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
                     t = int((h_mine - cycle) / interval) - 1
                     if t < span:
@@ -1038,8 +1112,9 @@ class TranslationEngine:
                     # span left over (the conservative trip count stops up
                     # to one interval short of the completion event), so a
                     # walker is only ever abandoned because its buffer is
-                    # truly full, the run ended, or this page's walk is due.
-                    while k < j and pos < cap and cycle < h_mine:
+                    # truly full, the run ended, this page's walk (or the
+                    # policy horizon) is due, or the quota room ran out.
+                    while k < j and pos < cap and cycle < h_mine and k - i < room:
                         va = va_list[k]
                         size = size_list[k]
                         pos += 1
@@ -1066,8 +1141,9 @@ class TranslationEngine:
                         # full walker ahead of this one in the PTS list.
                         mb_stats.rejects_full += full_skips * count
                         merged_total += count
+                        room -= count
                         i = k
-                    if i >= j or cycle >= h_mine:
+                    if i >= j or cycle >= h_mine or room <= 0:
                         break
                     full_skips += 1  # this walker is now truly full
                 else:
@@ -1079,6 +1155,13 @@ class TranslationEngine:
                     tlb.misses += merged_total
                     pts.lookups += merged_total
                     pts.hits += merged_total
+                if not trivial:
+                    if merged_total:
+                        prmb_occ[asid] = prmb_occ.get(asid, 0) + merged_total
+                        continue
+                    # Nothing merged (walkers full / quota / horizon): the
+                    # next transaction takes the full reference step.
+                    break
                 if exhausted:
                     # Every in-flight walker's PRMB is full: the next
                     # transaction launches a redundant walk or stalls.
@@ -1130,7 +1213,7 @@ class TranslationEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # no-PRMB continuation (shared by batched and contended paths)       #
+    # no-PRMB continuation (fused loops behind the batched path)         #
     # ------------------------------------------------------------------ #
 
     def _no_prmb_run(
@@ -2185,9 +2268,9 @@ class TranslationEngine:
     ) -> Tuple[int, float, float, int, float, int, int, int, bool, bool]:
         """Run-bounds memoization + :meth:`_no_prmb_run` dispatch.
 
-        The single entry shared by the batched and contended paths (they
-        must stay operation-identical for the parity contract, exactly
-        like :func:`_run_bounds`): refresh the caller's memoized
+        The batched path's single entry to the fused loops (its two call
+        sites must stay operation-identical for the parity contract,
+        exactly like :func:`_run_bounds`): refresh the caller's memoized
         same-page run bounds, hand the run to the fused no-PRMB loop,
         and decide the fall-through.  Returns the updated ``(i, cycle,
         data_end, total_bytes, stall, rc, run_vpn, run_end,
@@ -2243,486 +2326,6 @@ class TranslationEngine:
         return (
             i, cycle, data_end, total_bytes, stall,
             rc, run_vpn, run_end, run_streamable, handled,
-        )
-
-    # ------------------------------------------------------------------ #
-    # contended batched path (non-trivial QoS share policies)            #
-    # ------------------------------------------------------------------ #
-
-    def _run_burst_contended(
-        self, transactions: Sequence[Transaction], start_cycle: float, asid: int = 0
-    ) -> BurstResult:
-        """Same-page run batching under a non-trivial QoS share policy.
-
-        Not all of :meth:`_run_burst_batched`'s deferral arguments
-        survive quotas, so this path re-derives them per branch:
-
-        * **Hit runs** never extend past a walk completion: a policied
-          TLB fill selects victims from per-tenant LRU state, and in the
-          corner where the run's tenant holds a single entry in the
-          target set a deferred fill could evict the run page itself —
-          so fills are retired exactly when the reference loop would,
-          and a hit segment is bounded by the earliest in-flight
-          completion.  Between two completions a resident page stays
-          resident, so the segment is ``span`` identical lookups: one
-          MRU bump, bulk counters, the reference's channel arithmetic.
-        * **Merge runs** are bounded by this page's *own* earliest walk
-          completion (which flips the run to TLB hits) and by the
-          tenant's remaining PRMB-quota room.  Other pages' retirements
-          commute exactly as on the full-share path — they touch neither
-          this page's walkers nor the merge arithmetic — and the quota
-          room they release is recovered at the segment break, where the
-          next leading reference step retires the backlog at the same
-          cycle the reference loop would admit the freed capacity.
-        * Both segment kinds additionally respect the policy's
-          self-reported :meth:`~repro.core.qos.SharePolicy.next_event_for`
-          horizon, so a future time-varying policy is consulted at or
-          before every cycle its answers may change.
-
-        Boundary transactions (the last couple before an event,
-        quota-exhausted merges, walk starts, stalls) fall back to one
-        fully general reference step each, keeping this path
-        bit-identical to :meth:`_run_burst_reference` under every share
-        policy (``tests/test_fastpath_parity.py``).
-        """
-        mmu = self.mmu
-        memory = self.memory
-        vpn_shift = mmu._vpn_shift
-        interval = self.issue_interval
-        fault_handler = self.fault_handler
-        translate = mmu.translate
-        process = mmu.process_completions
-        stats = mmu.stats
-        tlb = mmu.tlb
-        tlb_latency = mmu._tlb_latency
-        pool = mmu.pool
-        pts = mmu.pts
-        # Batched paths only run on translated (non-oracle) single-level
-        # TLB configurations; make the invariant explicit for narrowing.
-        assert isinstance(tlb, TLB) and pool is not None and pts is not None
-        heap = pool.heap
-        pts_by_vpn = pts._by_vpn
-        buffers = pool._buffers
-        completion_of = pool._completion_of
-        prmb_capacity = mmu._prmb_slots
-        prmb_occ = pool._prmb_occ
-        prmb_total = pool.n_walkers * pool.prmb_slots
-        policy = mmu.share_policy
-        policy_next_event = policy.next_event_for
-        prmb_quota_of = policy.prmb_quota
-        inf = float("inf")
-
-        mem_cfg = memory.config
-        channel_free = memory._channel_free
-        n_channels = mem_cfg.channels
-        ch_bw = mem_cfg.channel_bandwidth
-        mem_latency = mem_cfg.access_latency_cycles
-        s_cycles = 256 / ch_bw
-        stream_ok = n_channels * interval >= s_cycles
-        merge_stream_ok = n_channels >= s_cycles
-        asid_bits = asid << ASID_SHIFT
-
-        tlb_sets = tlb._sets
-        tlb_set_mask = tlb._set_mask
-
-        cycle = start_cycle
-        data_end = start_cycle
-        stall = 0.0
-        total_bytes = 0
-        n = len(transactions)
-
-        # Column projections (see _run_burst_batched).
-        va_list = getattr(transactions, "va_list", None)
-        if va_list is not None:
-            size_list = transactions.size_list
-        else:
-            va_list = [t[0] for t in transactions]
-            size_list = [t[1] for t in transactions]
-
-        # DMA-provided run metadata (see _run_burst_batched).
-        meta = getattr(transactions, "runs", None)
-        if meta is not None and (
-            not meta
-            or getattr(transactions, "page_size", 0) != 1 << vpn_shift
-        ):
-            meta = None
-        rc = 0
-
-        # Memoized same-page run bounds (re-entered per segment break).
-        run_vpn = -1
-        run_end = 0
-        run_streamable = False
-
-        i = 0
-        while i < n:
-            va = va_list[i]
-            size = size_list[i]
-            vpn = va >> vpn_shift
-            tkey = vpn | asid_bits
-            if not prmb_capacity and tkey not in tlb_sets[tkey & tlb_set_mask]:
-                # PRMB-less leading miss: the fused no-PRMB run handles
-                # the page's fresh walk and everything after it directly,
-                # bypassing the translate dispatch.
-                (
-                    i, cycle, data_end, total_bytes, stall,
-                    rc, run_vpn, run_end, run_streamable, handled,
-                ) = self._no_prmb_entry(
-                    transactions, va_list, size_list, i, n, vpn, tkey, asid,
-                    cycle, data_end, total_bytes, stall, meta, rc, run_vpn,
-                    run_end, run_streamable,
-                )
-                if handled:
-                    continue
-                # The whole-burst runner may have crossed page boundaries
-                # before blocking (or faulting with no handler), so
-                # transaction ``i`` is not necessarily the one this
-                # iteration derived its locals from: re-derive them before
-                # the reference-step replay.
-                va = va_list[i]
-                size = size_list[i]
-                vpn = va >> vpn_shift
-                tkey = vpn | asid_bits
-            # -- reference step for the segment's leading transaction ----
-            if heap and heap[0][0] <= cycle:
-                process(cycle)
-            while True:
-                try:
-                    ready, retry = translate(vpn, cycle, asid)
-                except TranslationFault:
-                    if fault_handler is None:
-                        raise
-                    resolved = fault_handler(vpn, cycle, asid)
-                    run_vpn = -1
-                    run_end = 0
-                    stall += resolved - cycle
-                    cycle = resolved
-                    process(cycle)
-                    continue
-                if ready is None:
-                    stall += retry - cycle
-                    cycle = retry
-                    process(cycle)
-                    continue
-                break
-            channel = (va >> 8) % n_channels
-            free_at = channel_free[channel]
-            start = ready if ready > free_at else free_at
-            finish = start + size / ch_bw
-            channel_free[channel] = finish
-            done = finish + mem_latency
-            if done > data_end:
-                data_end = done
-            total_bytes += size
-            cycle += interval
-            i += 1
-
-            # -- bulk continuation between interaction points ------------
-            while i < n and va_list[i] >> vpn_shift == vpn:
-                if tkey in tlb_sets[tkey & tlb_set_mask]:
-                    # Bulk TLB hits, bounded by the next walk completion:
-                    # fills are retired exactly where the reference loop
-                    # would retire them (a deferred policied fill could
-                    # in principle evict this very page).  Within the
-                    # segment no fill can land, so every transaction is a
-                    # plain resident lookup: one MRU bump and ``span``
-                    # hits, with the reference's channel arithmetic.
-                    h = heap[0][0] if heap else inf
-                    if h <= cycle:
-                        process(cycle)
-                        continue
-                    horizon = policy_next_event(asid, cycle)
-                    if horizon < h:
-                        h = horizon
-                    # Conservative count of transactions that issue
-                    # strictly before the horizon.
-                    # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
-                    t = int((h - cycle) / interval) - 1 if h != inf else n
-                    if t <= 0:
-                        # Horizon-boundary transaction: exactly one
-                        # reference hit, inlined (no completion is due at
-                        # *this* cycle — ``h > cycle`` — so the reference
-                        # step would be a bare lookup; dense completion
-                        # traffic would otherwise push every such hit
-                        # through the full translate dispatch).
-                        stats.requests += 1
-                        stats.tlb_hits += 1
-                        tlb.lookup(vpn, asid)
-                        ready = cycle + tlb_latency
-                        va = va_list[i]
-                        size = size_list[i]
-                        channel = (va >> 8) % n_channels
-                        free_at = channel_free[channel]
-                        start = ready if ready > free_at else free_at
-                        finish = start + size / ch_bw
-                        channel_free[channel] = finish
-                        done = finish + mem_latency
-                        if done > data_end:
-                            data_end = done
-                        total_bytes += size
-                        cycle += interval
-                        i += 1
-                        continue
-                    if run_vpn != vpn or i >= run_end:
-                        j, run_streamable, rc = _run_bounds(
-                            va_list, size_list, i, n, vpn, vpn_shift, meta, rc
-                        )
-                        run_vpn = vpn
-                        run_end = j
-                    else:
-                        j = run_end
-                    span = j - i
-                    if span > t:
-                        span = t
-                    closed = False
-                    va0 = va_list[i]
-                    if (
-                        span >= 8
-                        and run_streamable
-                        and (span <= n_channels or stream_ok)
-                    ):
-                        base_ch = va0 >> 8
-                        lim = span if span < n_channels else n_channels
-                        ok = max(channel_free) <= cycle + tlb_latency
-                        if not ok:
-                            probe = cycle
-                            ok = True
-                            for k in range(lim):
-                                if channel_free[(base_ch + k) % n_channels] > (
-                                    probe + tlb_latency
-                                ):
-                                    ok = False
-                                    break
-                                probe += interval
-                        if ok:
-                            closed = True
-                            for _ in range(span - lim):
-                                cycle += interval
-                            for k in range(span - lim, span):
-                                ready = cycle + tlb_latency
-                                finish = ready + s_cycles
-                                channel_free[(base_ch + k) % n_channels] = finish
-                                cycle += interval
-                            done = finish + mem_latency
-                            if done > data_end:
-                                data_end = done
-                            total_bytes += span * 256
-                    if not closed:
-                        for va, size in zip(
-                            va_list[i:i + span], size_list[i:i + span]
-                        ):
-                            ready = cycle + tlb_latency
-                            channel = (va >> 8) % n_channels
-                            free_at = channel_free[channel]
-                            start = ready if ready > free_at else free_at
-                            finish = start + size / ch_bw
-                            channel_free[channel] = finish
-                            done = finish + mem_latency
-                            if done > data_end:
-                                data_end = done
-                            total_bytes += size
-                            cycle += interval
-                    stats.requests += span
-                    stats.tlb_hits += span
-                    tlb.touch(vpn, span, asid)
-                    i += span
-                    continue
-
-                if not prmb_capacity:
-                    # Delegates to the fused FIFO runner (and its
-                    # calendar stretches); the PRMB arm below has no FIFO
-                    # stall/retire chain to batch.
-                    (
-                        i, cycle, data_end, total_bytes, stall,
-                        rc, run_vpn, run_end, run_streamable, handled,
-                    ) = self._no_prmb_entry(
-                        transactions, va_list, size_list, i, n, vpn, tkey,
-                        asid, cycle, data_end, total_bytes, stall, meta,
-                        rc, run_vpn, run_end, run_streamable,
-                    )
-                    if not handled:
-                        break  # the reference step raises / re-evaluates
-                    continue  # re-dispatch: TLB hits, or a new page
-                walkers = pts_by_vpn.get(tkey)
-                if not walkers:
-                    break
-                # Bulk PRMB merges.  Like the full-share path, a merge
-                # segment only breaks when one of *this page's* walks
-                # completes (flipping the run to TLB hits) — other pages'
-                # retirements commute and are deferred to the next
-                # reference step — but it is additionally bounded by the
-                # tenant's merge-quota room, which only shrinks inside a
-                # segment (the drains that would grow it are themselves
-                # completions the next leading step retires first).
-                if len(walkers) == 1:
-                    h_mine = completion_of[walkers[0]]
-                else:
-                    h_mine = min(completion_of[w] for w in walkers)
-                if cycle >= h_mine:
-                    # This page's own walk completes now: retire the
-                    # backlog and re-dispatch (the run flips to TLB hits).
-                    process(cycle)
-                    continue
-                horizon = policy_next_event(asid, cycle)
-                if horizon < h_mine:
-                    h_mine = horizon
-                # Merge-quota room: how many merges this tenant can park
-                # before its PRMB reservation binds — the same
-                # ``prmb_quota`` the per-event ``WalkerPool.can_merge``
-                # check reads.
-                quota = prmb_quota_of(asid, prmb_total)
-                if quota is None:
-                    room = n
-                else:
-                    room = quota - prmb_occ.get(asid, 0)
-                    if room <= 0:
-                        break
-                if run_vpn != vpn or i >= run_end:
-                    j, run_streamable, rc = _run_bounds(
-                        va_list, size_list, i, n, vpn, vpn_shift, meta, rc
-                    )
-                    run_vpn = vpn
-                    run_end = j
-                else:
-                    j = run_end
-                merged_total = 0
-                full_skips = 0
-                for walker in walkers:
-                    buf = buffers[walker]
-                    pos = buf._occupied
-                    cap = buf.slots
-                    if pos >= cap:
-                        full_skips += 1
-                        continue
-                    comp = completion_of[walker]
-                    room_w = cap - pos
-                    avail = j - i
-                    span = avail if avail < room_w else room_w
-                    if room < span:
-                        span = room
-                    # simlint: disable=cyc-true-div -- horizon/interval live in the float cycle domain; int() truncation is the reference semantics and // floors differently at float boundaries, breaking bit-identity
-                    t = int((h_mine - cycle) / interval) - 1
-                    if t < span:
-                        span = t
-                    if span > 0:
-                        closed = False
-                        va0 = va_list[i]
-                        if (
-                            span >= 8
-                            and run_streamable
-                            and (span <= n_channels or merge_stream_ok)
-                        ):
-                            base_ch = va0 >> 8
-                            lim = span if span < n_channels else n_channels
-                            ok = max(channel_free) <= comp + (pos + 1)
-                            if not ok:
-                                for k in range(lim):
-                                    if channel_free[(base_ch + k) % n_channels] > (
-                                        comp + (pos + 1 + k)
-                                    ):
-                                        ok = False
-                                        break
-                                else:
-                                    ok = True
-                            if ok:
-                                closed = True
-                                for _ in range(span):
-                                    cycle += interval
-                                for k in range(span - lim, span):
-                                    ready = comp + (pos + 1 + k)
-                                    finish = ready + s_cycles
-                                    channel_free[
-                                        (base_ch + k) % n_channels
-                                    ] = finish
-                                done = finish + mem_latency
-                                if done > data_end:
-                                    data_end = done
-                                total_bytes += span * 256
-                                pos += span
-                        if not closed:
-                            for va, size in zip(
-                                va_list[i:i + span], size_list[i:i + span]
-                            ):
-                                pos += 1
-                                ready = comp + pos
-                                channel = (va >> 8) % n_channels
-                                free_at = channel_free[channel]
-                                start = ready if ready > free_at else free_at
-                                finish = start + size / ch_bw
-                                channel_free[channel] = finish
-                                done = finish + mem_latency
-                                if done > data_end:
-                                    data_end = done
-                                total_bytes += size
-                                cycle += interval
-                        k = i + span
-                    else:
-                        k = i
-                    # Residual guarded loop: finishes whatever the bulk
-                    # span left over (the conservative trip count stops up
-                    # to one interval short of the completion horizon),
-                    # bounded per transaction by the quota room.
-                    while k < j and pos < cap and cycle < h_mine and k - i < room:
-                        va = va_list[k]
-                        size = size_list[k]
-                        pos += 1
-                        ready = comp + pos
-                        channel = (va >> 8) % n_channels
-                        free_at = channel_free[channel]
-                        start = ready if ready > free_at else free_at
-                        finish = start + size / ch_bw
-                        channel_free[channel] = finish
-                        done = finish + mem_latency
-                        if done > data_end:
-                            data_end = done
-                        total_bytes += size
-                        cycle += interval
-                        k += 1
-                    count = k - i
-                    if count:
-                        buf._occupied = pos
-                        mb_stats = buf.stats
-                        mb_stats.merges += count
-                        if pos > mb_stats.peak_occupancy:
-                            mb_stats.peak_occupancy = pos
-                        # Each merged request first probed every already-
-                        # full walker ahead of this one in the PTS list.
-                        mb_stats.rejects_full += full_skips * count
-                        merged_total += count
-                        room -= count
-                        i = k
-                    if i >= j or cycle >= h_mine or room <= 0:
-                        break
-                    full_skips += 1  # this walker is now truly full
-                if merged_total:
-                    stats.requests += merged_total
-                    stats.merges += merged_total
-                    # Each merged request was one TLB miss + one PTS hit.
-                    tlb.misses += merged_total
-                    pts.lookups += merged_total
-                    pts.hits += merged_total
-                    prmb_occ[asid] = prmb_occ.get(asid, 0) + merged_total
-                    continue
-                # Nothing merged (walkers full / quota / horizon): the
-                # next transaction takes the full reference step.
-                break
-
-        # Catch retirements deferred past merge segments up to the
-        # reference path's end-of-burst point (the final transaction's
-        # issue cycle) — see the matching catch-up in _run_burst_batched.
-        if n:
-            last_cycle = cycle - interval
-            if heap and heap[0][0] <= last_cycle:
-                process(last_cycle)
-
-        memory.total_bytes += total_bytes
-        memory.total_accesses += n
-        return BurstResult(
-            start_cycle=start_cycle,
-            issue_end_cycle=cycle,
-            data_end_cycle=data_end,
-            transactions=n,
-            bytes_moved=total_bytes,
-            stall_cycles=stall,
         )
 
     # ------------------------------------------------------------------ #

@@ -181,9 +181,10 @@ class SharePolicy:
         """Next cycle at which this policy's answers for ``asid`` can
         change *of the policy's own accord*.
 
-        The engine's contended batched path never extends a bulk segment
-        past this cycle, re-consulting the policy there; the event-driven
-        multi-tenant scheduler treats it the same way.  The built-in
+        Under a non-trivial policy the engine's batched path never
+        extends a bulk segment past this cycle, re-consulting the policy
+        there; the event-driven multi-tenant scheduler treats it the same
+        way.  The built-in
         policies' quotas depend only on the tenant registry — never on
         time — so they report ``inf`` and segments are bounded by walk
         completions alone.  A time-varying policy (periodic weight

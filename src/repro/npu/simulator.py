@@ -790,7 +790,7 @@ class MultiTenantSimulator:
         TLB quotas or memory channels — in one closed-form stretch
         (:meth:`_TenantRun.advance_quiet`), instead of being stepped one
         translation-slot quantum at a time; within a simulated burst the
-        engine's batched paths bound their segments by the same
+        engine's batched path bounds its segments by the same
         interaction points.  Service order for the interacting steps is
         bit-identical to the historical quantum-by-quantum arbiters.
         """

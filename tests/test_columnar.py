@@ -262,7 +262,7 @@ def run_mode(
     mmu.register_context(9, tables[9], weight=1.5)
     memory = MainMemory()
     engine = TranslationEngine(mmu, memory)
-    assert engine.batched == (mode != "reference")
+    assert engine._batchable() == (mode != "reference")
 
     page_bits = page_size.bit_length() - 1
 

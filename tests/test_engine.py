@@ -5,6 +5,8 @@ per-cycle issue port, TLB/PRMB/walker interplay, DMA blocking, fault
 handling, and the memory bandwidth bound that defines the oracle.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.engine import TranslationEngine
@@ -28,6 +30,13 @@ def build(mmu_config, n_pages=256, channels=8, bandwidth=600.0, latency=100, **k
         )
     )
     return TranslationEngine(mmu, memory, **kw), mmu, memory
+
+
+def oracle_mode(fast):
+    """The oracle config on its fast path or on the reference loop."""
+    return replace(
+        oracle_config(), engine_mode="columnar" if fast else "reference"
+    )
 
 
 def txs_for_pages(pages, per_page=1, size=256):
@@ -132,16 +141,15 @@ class TestFaultHandling:
         with pytest.raises(TranslationFault):
             engine.run_burst([(BASE + 64 * PAGE_SIZE_4K, 256)], 0.0)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_oracle_unmapped_page_faults(self, batched):
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_oracle_unmapped_page_faults(self, fast):
         """Regression: the oracle fast path must not swallow page faults.
 
         The seed's inlined oracle path skipped MMU.translate and silently
         "translated" unmapped pages; both engine paths must now probe the
         resolver and raise, counting the fault like mmu.py does.
         """
-        engine, mmu, _ = build(oracle_config(), n_pages=1)
-        engine.batched = batched
+        engine, mmu, _ = build(oracle_mode(fast), n_pages=1)
         mapped = [(BASE + k * 256, 256) for k in range(4)]
         with pytest.raises(TranslationFault):
             engine.run_burst(mapped + [(BASE + 64 * PAGE_SIZE_4K, 256)], 0.0)
@@ -150,11 +158,10 @@ class TestFaultHandling:
         # faulting one does not (MMU.translate parity).
         assert mmu.stats.requests == len(mapped)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_oracle_fault_mid_run_counts_prefix(self, batched):
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_oracle_fault_mid_run_counts_prefix(self, fast):
         """Faults inside a same-page run keep request accounting exact."""
-        engine, mmu, _ = build(oracle_config(), n_pages=2)
-        engine.batched = batched
+        engine, mmu, _ = build(oracle_mode(fast), n_pages=2)
         txs = [(BASE + k * 256, 256) for k in range(20)]  # 2 mapped pages
         txs += [(BASE + 64 * PAGE_SIZE_4K + k * 256, 256) for k in range(4)]
         with pytest.raises(TranslationFault) as excinfo:

@@ -10,6 +10,7 @@ space to lock that in, and pin the engine's inlined memory arithmetic to
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.mmu import (
     neummu_config,
     oracle_config,
 )
+from repro.core.qos import SHARE_POLICIES
 from repro.core.tlb import TLB
 from repro.memory.address import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.memory.dram import MainMemory, MemoryConfig
@@ -77,6 +79,20 @@ def random_stream(seed, n):
     return txs[:n]
 
 
+def revisit_stream(seed, n, pages=6):
+    """Short runs over a handful of pages, revisited in random order:
+    the pages compete for a tiny TLB, so fills land while a revisited
+    page is mid-run."""
+    rng = random.Random(seed)
+    txs = []
+    while len(txs) < n:
+        base = BASE + rng.randrange(pages) * PAGE_SIZE_4K
+        start = rng.randrange(8)
+        for k in range(rng.choice([1, 2, 3, 5, 8, 12])):
+            txs.append((base + ((start + k) * 256) % PAGE_SIZE_4K, 256))
+    return txs[:n]
+
+
 def streaming_stream(n):
     """Fully contiguous 256 B transactions (the closed-form target)."""
     return [(BASE + k * 256, 256) for k in range(n)]
@@ -104,16 +120,21 @@ def annotate(txs, page_size):
     return stream
 
 
+def in_mode(config, fast):
+    """``config`` pinned to the fast paths or to the reference loop."""
+    return replace(config, engine_mode="columnar" if fast else "reference")
+
+
 def run_both(config, bursts_batched, bursts_reference, channels=8):
     """Run the same stream through both paths; return comparable state."""
     out = []
-    for batched, bursts in (
+    for fast, bursts in (
         (True, bursts_batched),
         (False, bursts_reference),
     ):
-        mmu = MMU(config, build_table())
+        mmu = MMU(in_mode(config, fast), build_table())
         memory = MainMemory(MemoryConfig(channels=channels))
-        engine = TranslationEngine(mmu, memory, batched=batched)
+        engine = TranslationEngine(mmu, memory)
         results, data_end = engine.run_bursts(bursts, 0.125)
         mmu.drain()
         state = {
@@ -164,15 +185,19 @@ class TestBurstParity:
         batched_state, reference_state = run_both(config, [annotated], [txs])
         assert batched_state == reference_state
 
-    def test_direct_mapped_tlb_falls_back(self):
-        """ways < 2 disables hit-run batching but stays bit-identical."""
-        config = MMUConfig(name="dm", n_walkers=8, prmb_slots=8)
+    @pytest.mark.parametrize("qos", ["full_share", "static_partition"])
+    def test_direct_mapped_tlb_bounds_hit_segments(self, qos):
+        """ways < 2 bounds hit segments by the next walk completion
+        instead of deferring completions past them (a deferred fill
+        could evict the run page), under any share policy, and stays
+        bit-identical."""
+        config = MMUConfig(name="dm", n_walkers=8, prmb_slots=8, qos=qos)
         txs = streaming_stream(1500)
         out = []
-        for batched in (True, False):
-            mmu = MMU(config, build_table())
-            mmu.tlb = TLB(16, associativity=1)
-            engine = TranslationEngine(mmu, MainMemory(), batched=batched)
+        for fast in (True, False):
+            mmu = MMU(in_mode(config, fast), build_table())
+            mmu.tlb = TLB(16, associativity=1, policy=mmu.share_policy)
+            engine = TranslationEngine(mmu, MainMemory())
             result = engine.run_burst(txs, 0.0)
             mmu.drain()
             out.append((result, mmu.summary()))
@@ -182,11 +207,9 @@ class TestBurstParity:
         config = neummu_config()
         txs = streaming_stream(1000)
         out = []
-        for batched in (True, False):
-            mmu = MMU(config, build_table())
-            engine = TranslationEngine(
-                mmu, MainMemory(), issue_interval=1.5, batched=batched
-            )
+        for fast in (True, False):
+            mmu = MMU(in_mode(config, fast), build_table())
+            engine = TranslationEngine(mmu, MainMemory(), issue_interval=1.5)
             result = engine.run_burst(txs, 0.25)
             mmu.drain()
             out.append((result, mmu.summary()))
@@ -199,13 +222,13 @@ class TestMultiASIDParity:
     def run_both_tagged(self, config, schedule):
         """``schedule``: (asid, burst) pairs replayed in order."""
         out = []
-        for batched in (True, False):
-            mmu = MMU(config, build_table())
+        for fast in (True, False):
+            mmu = MMU(in_mode(config, fast), build_table())
             other = PageTable()
             other.map_range(BASE, N_PAGES * PAGE_SIZE_4K, first_pfn=700_000)
             mmu.register_context(5, other)
             memory = MainMemory()
-            engine = TranslationEngine(mmu, memory, batched=batched)
+            engine = TranslationEngine(mmu, memory)
             results = [
                 engine.run_burst(burst, float(i * 10), asid)
                 for i, (asid, burst) in enumerate(schedule)
@@ -262,9 +285,8 @@ class TestSimulatorParity:
             layers=(DenseLayer("fc1", 1, 2048, 1024), DenseLayer("fc2", 1, 1024, 512)),
         )
         results = []
-        for batched in (True, False):
-            sim = NPUSimulator(workload, config)
-            sim.engine.batched = batched
+        for fast in (True, False):
+            sim = NPUSimulator(workload, in_mode(config, fast))
             results.append(sim.run())
         assert results[0].total_cycles == results[1].total_cycles
         assert results[0].mmu_summary == results[1].mmu_summary
@@ -274,18 +296,19 @@ class TestSimulatorParity:
 
     def test_real_network_summary_identical(self):
         results = []
-        for batched in (True, False):
-            sim = NPUSimulator(dense_workload("RNN-2", 1), neummu_config())
-            sim.engine.batched = batched
+        for fast in (True, False):
+            sim = NPUSimulator(
+                dense_workload("RNN-2", 1), in_mode(neummu_config(), fast)
+            )
             results.append(sim.run())
         assert results[0].total_cycles == results[1].total_cycles
         assert results[0].mmu_summary == results[1].mmu_summary
 
 
 class TestContendedPathParity:
-    """The contended batched path (non-trivial QoS policies) is
-    bit-identical to the reference loop: same BurstResults, counters,
-    channel state, TLB contents/LRU order and per-ASID occupancy."""
+    """Under non-trivial QoS policies the batched path is bit-identical
+    to the reference loop: same BurstResults, counters, channel state,
+    TLB contents/LRU order and per-ASID occupancy."""
 
     #: No-PRMB and merge-heavy design points, policied; includes path
     #: caches with prmb_slots=0 so the fused no-PRMB run exercises its
@@ -300,18 +323,20 @@ class TestContendedPathParity:
         MMUConfig(name="tpreg0", n_walkers=6, prmb_slots=0, path_cache="tpreg"),
     ]
 
+    #: Two TLB entries: a tenant often holds a single entry, so a fill
+    #: deferred past a hit run could evict the run page itself.
+    TLB2 = MMUConfig(name="tlb2", tlb_entries=2, n_walkers=4, prmb_slots=2)
+
     def run_both_policied(self, config, qos, schedule, w0=2.0):
         out = []
-        for batched in (True, False):
-            from dataclasses import replace
-
-            mmu = MMU(replace(config, qos=qos), None)
+        for fast in (True, False):
+            mmu = MMU(in_mode(replace(config, qos=qos), fast), None)
             mmu.register_context(0, build_table(), weight=w0)
             other = PageTable()
             other.map_range(BASE, N_PAGES * PAGE_SIZE_4K, first_pfn=500_000)
             mmu.register_context(5, other, weight=1.0)
             memory = MainMemory(MemoryConfig())
-            engine = TranslationEngine(mmu, memory, batched=batched)
+            engine = TranslationEngine(mmu, memory)
             results = [
                 engine.run_burst(burst, float(i * 7), asid)
                 for i, (asid, burst) in enumerate(schedule)
@@ -327,6 +352,16 @@ class TestContendedPathParity:
                     "pts": (mmu.pts.lookups, mmu.pts.hits, mmu.pts.in_flight),
                     "tlb_sets": [list(s.items()) for s in mmu.tlb._sets],
                     "occupancy": dict(mmu.tlb._asid_occupancy),
+                    # Per-tenant walker and PRMB holdings (empty sets and
+                    # zero counts are equivalent to absent entries).
+                    "busy": {
+                        a: sorted(ws)
+                        for a, ws in mmu.pool._busy_by_asid.items()
+                        if ws
+                    },
+                    "prmb_occ": {
+                        a: occ for a, occ in mmu.pool._prmb_occ.items() if occ
+                    },
                 }
             )
         return out
@@ -355,12 +390,58 @@ class TestContendedPathParity:
         )
         assert batched_state == reference_state
 
-    def test_trivial_policy_dispatch_unchanged(self):
-        """full_share still routes through the historical batched path."""
-        mmu = MMU(neummu_config(), build_table())
-        engine = TranslationEngine(mmu, MainMemory())
-        assert engine._batchable()
-        assert mmu.share_policy.trivial
+    @pytest.mark.parametrize("qos", ["static_partition", "weighted"])
+    def test_walks_retired_mid_burst_release_quota(self, qos):
+        """A walk retired inside a policied burst gives its walker and
+        PRMB slots back to the tenant's quota: one streaming burst per
+        tenant, short enough that no tenant ever blocks on its quota."""
+        schedule = [(0, streaming_stream(600)), (5, streaming_stream(300))]
+        batched_state, reference_state = self.run_both_policied(
+            neummu_config(), qos, schedule
+        )
+        assert batched_state == reference_state
+
+    @pytest.mark.parametrize("qos", ["static_partition", "weighted"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_revisited_pages_in_tiny_tlb(self, qos, seed):
+        """Hit runs under quotas end at the next walk completion: two
+        tenants revisit six pages through a 2-entry TLB, where a fill
+        deferred to a run's end would evict the run's own page."""
+        txs_a = revisit_stream(seed, 300)
+        txs_b = revisit_stream(seed + 100, 300)
+        schedule = [(0, txs_a), (5, txs_b), (0, txs_b), (5, txs_a)]
+        batched_state, reference_state = self.run_both_policied(
+            self.TLB2, qos, schedule
+        )
+        assert batched_state == reference_state
+
+    @pytest.mark.parametrize("qos", SHARE_POLICIES)
+    def test_share_policies_never_take_reference_path(self, qos, monkeypatch):
+        """Every share policy runs its bursts on the batched path; the
+        per-transaction reference loop is never entered."""
+        calls = {"reference": 0, "batched": 0}
+        for name in calls:
+            method = f"_run_burst_{name}"
+            original = getattr(TranslationEngine, method)
+
+            def spy(self, *args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(TranslationEngine, method, spy)
+        txs_a = random_stream(38, 600)
+        txs_b = streaming_stream(600)
+        schedule = [(0, txs_a), (5, txs_b), (5, txs_a), (0, txs_b)]
+        for config in (baseline_iommu_config(), neummu_config()):
+            mmu = MMU(in_mode(replace(config, qos=qos), True), None)
+            mmu.register_context(0, build_table(), weight=2.0)
+            other = PageTable()
+            other.map_range(BASE, N_PAGES * PAGE_SIZE_4K, first_pfn=500_000)
+            mmu.register_context(5, other)
+            engine = TranslationEngine(mmu, MainMemory())
+            for i, (asid, burst) in enumerate(schedule):
+                engine.run_burst(burst, float(i * 7), asid)
+        assert calls == {"reference": 0, "batched": 2 * len(schedule)}
 
 
 class TestMemoryArithmeticParity:
@@ -370,7 +451,7 @@ class TestMemoryArithmeticParity:
         txs = random_stream(3, 1500)
         mmu = MMU(oracle_config(), build_table())
         memory = MainMemory()
-        engine = TranslationEngine(mmu, memory, batched=True)
+        engine = TranslationEngine(mmu, memory)
         result = engine.run_burst(txs, 0.0)
 
         reference = MainMemory()
@@ -393,7 +474,7 @@ class TestMemoryArithmeticParity:
         mmu = MMU(config, build_table())
         # Pre-fill the TLB so every transaction hits at +5 cycles.
         mmu.tlb.insert(BASE >> 12, 10)
-        engine = TranslationEngine(mmu, MainMemory(), batched=True)
+        engine = TranslationEngine(mmu, MainMemory())
         result = engine.run_burst(txs, 0.0)
 
         reference = MainMemory()

@@ -13,6 +13,8 @@ end, byte/access totals), so any divergence between the inlined and
 delegated arithmetic fails loudly.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,9 +79,10 @@ class TestInlinedChannelArithmetic:
     def test_reference_path_matches_delegated_access(self, raw, channels):
         """Oracle + reference loop: ready == issue cycle exactly."""
         txs = materialize(raw)
-        mmu = MMU(oracle_config(), mapped_table())
+        config = replace(oracle_config(), engine_mode="reference")
+        mmu = MMU(config, mapped_table())
         memory = MainMemory(MemoryConfig(channels=channels))
-        engine = TranslationEngine(mmu, memory, batched=False)
+        engine = TranslationEngine(mmu, memory)
         result = engine.run_burst(txs, 0.0)
 
         shadow, data_end = delegated_replay(
@@ -96,7 +99,7 @@ class TestInlinedChannelArithmetic:
         txs = materialize(raw)
         mmu = MMU(oracle_config(), mapped_table())
         memory = MainMemory(MemoryConfig(channels=channels))
-        engine = TranslationEngine(mmu, memory, batched=True)
+        engine = TranslationEngine(mmu, memory)
         result = engine.run_burst(txs, 0.0)
 
         shadow, data_end = delegated_replay(
@@ -113,13 +116,13 @@ class TestInlinedChannelArithmetic:
         self, raw, channels
     ):
         """TLB-warm reference loop: ready == cycle + hit latency exactly."""
-        config = baseline_iommu_config()
+        config = replace(baseline_iommu_config(), engine_mode="reference")
         txs = materialize(raw)
         mmu = MMU(config, mapped_table())
         for page in range(N_PAGES):  # pre-warm: every lookup hits
             mmu.tlb.insert((BASE >> 12) + page, 10 + page)
         memory = MainMemory(MemoryConfig(channels=channels))
-        engine = TranslationEngine(mmu, memory, batched=False)
+        engine = TranslationEngine(mmu, memory)
         result = engine.run_burst(txs, 0.0)
 
         latency = config.tlb_hit_latency

@@ -1,7 +1,7 @@
 """FAST ≈ EXACT in multi-tenant mode, across the full QoS matrix.
 
 The event-driven scheduling core changed *how* tenant pipelines advance
-(closed-form quiet stretches, contended batched engine segments), not
+(closed-form quiet stretches, quota-bounded batched engine segments), not
 *what* they compute: FAST fidelity must still agree with EXACT within
 the usual tolerance for every (share policy × arbitration) combination,
 and the contention-epoch memoization must drop converged timings the

@@ -45,11 +45,10 @@ def table_mapping(first_pfn, n_pages=4096):
 
 
 def tiny_workload(batch=1, tag="t"):
-    # Deliberately small (non-trivial policies force the engine's
-    # per-transaction reference path, and this keeps the whole QoS suite
-    # inside the fast CI tier) but with a dense layer wide enough that
-    # two tenants genuinely saturate the 8-walker IOMMU's translation
-    # throughput — the regime where share policies have teeth.
+    # Deliberately small (this keeps the whole QoS suite inside the fast
+    # CI tier) but with a dense layer wide enough that two tenants
+    # genuinely saturate the 8-walker IOMMU's translation throughput —
+    # the regime where share policies have teeth.
     return Workload(
         name=f"tiny_{tag}_b{batch:02d}",
         batch=batch,
@@ -728,17 +727,3 @@ class TestDefaultBitIdentity:
             assert a.usage.requests == b.usage.requests
             assert a.usage.stall_cycles == b.usage.stall_cycles
         assert baseline.mmu_summary.requests == explicit.mmu_summary.requests
-
-    def test_trivial_policy_keeps_batched_fast_path(self):
-        sim = MultiTenantSimulator([tiny_workload()], neummu_config())
-        assert sim.shared.engine._batchable()
-
-    def test_nontrivial_policy_takes_contended_batched_path(self):
-        """Quota enforcement no longer forces the per-transaction
-        reference loop: the contended batched path covers it (and is
-        locked to the reference bit for bit by the parity suite)."""
-        sim = MultiTenantSimulator(
-            [tiny_workload()], neummu_config(), qos="static_partition"
-        )
-        assert sim.shared.engine._batchable()
-        assert not sim.shared.mmu.share_policy.trivial
